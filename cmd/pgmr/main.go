@@ -26,8 +26,7 @@ func main() {
 	gpus := flag.Int("gpus", 1, "concurrent member executions (models GPU count)")
 	bits := flag.Int("bits", 0, "RAMR precision bits (0 = full precision)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
-	parallel := flag.Bool("parallel", false, "evaluate members concurrently inside each Classify")
-	workers := flag.Int("workers", 0, "worker-pool size for -parallel and -batch (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "members run concurrently per stage (0 = NumCPU)")
 	batch := flag.Int("batch", 0, "classify images in batches of this size (throughput mode; 0 = one at a time)")
 	verbose := flag.Bool("v", false, "print one line per image")
 	flag.Parse()
@@ -42,7 +41,6 @@ func main() {
 		GPUs:          *gpus,
 		PrecisionBits: *bits,
 		DisableStaged: *noStage,
-		Parallel:      *parallel,
 		Workers:       *workers,
 		Progress:      func(f string, a ...any) { fmt.Fprintf(os.Stderr, "# "+f+"\n", a...) },
 	})

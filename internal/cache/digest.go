@@ -49,8 +49,10 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // layouts read as cold rather than wrong. v2 added the per-member backend
 // schedule (reduced-precision execution changes decisions); v3 added the
 // stage-policy descriptor (an adaptive cascade controller can change stage
-// depth and backends per batch).
-const digestSchema = "pgmr-cache-v3"
+// depth and backends per batch); v4 marks the single batch-invariant
+// engine (entries written by the retired per-image path carry Confidence
+// bits the engine no longer produces).
+const digestSchema = "pgmr-cache-v4"
 
 // SystemConfig enumerates the decision-relevant configuration covered by a
 // fingerprint.

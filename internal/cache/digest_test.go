@@ -29,8 +29,8 @@ func refImage() ([]int, []float64) {
 // prediction written by one process must be readable by the next. Update
 // them ONLY together with a digestSchema bump.
 const (
-	goldenFingerprint = "3a318f6363f2252193dd933458a0949cd3cea16d706d34649445ac22c0a10e8a"
-	goldenKey         = "7e92890788e65988f2a61d2099a3edca1534ff1c0210c160d1b95d95e9367955"
+	goldenFingerprint = "4eeec111aaf3f090edf0c35ac65e3cba975777dfe4f71ddaf89f0f0a3485f4c0"
+	goldenKey         = "b48db98772815c1b944e055e7988053938cfa1c0ab3fa0e1d3f31a5d49f40bb3"
 )
 
 func TestDigestStableAcrossProcesses(t *testing.T) {

@@ -11,31 +11,37 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements per-network batched classification: instead of fanning
-// individual images across workers (each paying a full per-image forward pass
-// per member), the engine runs every still-undecided image through one member
-// network at a time via nn.InferBatchArena, so each member's weights are
-// streamed once per stage for the whole batch and the fused minibatch kernels
-// (batched im2col + blocked GEMM, Winograd 3×3) do the heavy lifting.
+// This file is the decision engine. Every classification runs it:
+// ClassifyBatch over its images, and Classify as a batch of one. Instead of
+// walking each image through the committee on its own, the engine runs
+// every still-undecided image through one member network at a time —
+// nn.Network.InferBatchArena for float64 members, the compiled Net32 for
+// reduced-precision ones — so each member's weights are streamed once per
+// stage for the whole batch and the fused minibatch kernels do the heavy
+// lifting.
 //
-// RADE staged-activation semantics are preserved exactly: all images follow
-// the same global stage schedule the sequential engine uses (an initial chunk
-// of max(Thr_Freq, 2) members, then +Batch per stage), images drop out of the
-// batch at the stage boundary where classifySequential would have stopped,
-// and the per-image Decision — label, reliability, votes, Activated count —
-// matches the sequential result. Confidence matches within the batched-kernel
-// float tolerance (|Δ| ≤ 1e-9 on softmax outputs; see internal/nn/batch.go
-// for the floating-point contract).
+// RADE staged-activation semantics: all images follow one global stage
+// schedule (an initial chunk of max(Thr_Freq, 2) members, then +Batch per
+// stage), and each image drops out of the batch at the stage boundary where
+// its decision is determined, so its Decision — label, reliability, votes,
+// Activated count, Confidence — equals the per-sample staged loop the
+// thresholds are profiled with (stagedDecision in recorded.go). Every kernel
+// gives an image the same softmax bits at any batch size and slot
+// (internal/nn/batch.go), so a Decision is a pure function of the image and
+// the configuration: batch size, batch position, Workers and the other
+// images in the call never change it. That is what lets the prediction
+// cache and the cluster ring key decisions by (image, ConfigFingerprint).
 
 // batchInferFn runs one member on a set of images and returns index-aligned
-// probability rows. It is the batched counterpart of inferFn and must be safe
-// for concurrent calls on distinct members.
+// probability rows. It must be safe for concurrent calls on distinct
+// members.
 type batchInferFn func(member int, xs []*tensor.T) [][]float64
 
 // batchStageInferFn is batchInferFn with a per-stage backend override: when
 // override is true the member should execute on backend be (falling back to
 // its configured path if that variant is not compiled). It is the seam the
-// StagePolicy engine drives.
+// engine is written against: stageInfer runs the real networks, and the
+// property tests drive the engine with synthetic softmax tables.
 type batchStageInferFn func(member int, be Backend, override bool, xs []*tensor.T) [][]float64
 
 // batchImgState carries one image's staged-activation progress.
@@ -45,33 +51,74 @@ type batchImgState struct {
 	accepted int
 }
 
-// classifyBatchNetworks is the per-network batched decision engine under the
-// static schedule. It is a thin wrapper over classifyBatchStaged that ignores
-// any attached policy — kept as the seam the equivalence property tests and
-// the cacheable reference path are written against.
-func (s *System) classifyBatchNetworks(ctx context.Context, xs []*tensor.T, infer batchInferFn) ([]Decision, error) {
-	ds, _, err := s.classifyBatchStagedWith(ctx, xs, nil,
-		func(m int, _ Backend, _ bool, pend []*tensor.T) [][]float64 { return infer(m, pend) })
+// workerCount resolves the effective worker-pool size for n units of work.
+func (s *System) workerCount(n int) int {
+	w := s.Workers
+	if w <= 0 {
+		w = runtime.NumCPU()
+	}
+	if w > n {
+		w = n
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// ClassifyBatch classifies every input and returns index-aligned decisions.
+// Every still-undecided image runs through each member network in one fused
+// minibatch forward pass per stage, which is substantially faster than
+// per-image passes because each member's weights stream through the cache
+// once per stage for the whole batch. Each decision is identical to
+// Classify on the same image, Confidence bits included; an attached Policy
+// may reshape the schedule (see policy.go).
+func (s *System) ClassifyBatch(xs []*tensor.T) []Decision {
+	out, _ := s.ClassifyBatchContext(context.Background(), xs)
+	return out
+}
+
+// ClassifyBatchContext is ClassifyBatch with cooperative cancellation: when
+// the context is done before every item has been classified, the engine stops
+// before the next member inference and ctx.Err() is returned with a nil
+// slice. With a never-done context it behaves exactly like ClassifyBatch.
+func (s *System) ClassifyBatchContext(ctx context.Context, xs []*tensor.T) ([]Decision, error) {
+	if len(xs) == 0 {
+		return []Decision{}, nil
+	}
+	if s.Cache != nil {
+		return s.classifyBatchCached(ctx, xs)
+	}
+	ds, _, err := s.runBatch(ctx, xs)
 	return ds, err
 }
 
-// classifyBatchStaged runs the batched staged engine consulting the
-// system's attached policy (if any). The returned clean flag reports
-// whether every stage followed the static schedule — only clean batches may
-// be stored in the prediction cache.
-func (s *System) classifyBatchStaged(ctx context.Context, xs []*tensor.T, infer batchStageInferFn) ([]Decision, bool, error) {
-	return s.classifyBatchStagedWith(ctx, xs, s.Policy, infer)
+// runBatch runs the engine under the attached policy, bypassing any cache.
+// The clean flag reports whether every stage followed the static schedule
+// — only clean batches may be stored in the prediction cache.
+func (s *System) runBatch(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
+	return s.classifyBatchStagedWith(ctx, xs, s.Policy, s.stageInfer)
 }
 
-// classifyBatchStagedWith is the batched staged decision engine. Chunk
-// boundaries replicate the sequential activate() checkpoints; within a chunk,
+// classifyOne runs one image as a batch of one on the static schedule —
+// the Classify path, which ignores any attached policy.
+func (s *System) classifyOne(ctx context.Context, x *tensor.T, infer batchStageInferFn) (Decision, error) {
+	ds, _, err := s.classifyBatchStagedWith(ctx, []*tensor.T{x}, nil, infer)
+	if err != nil {
+		return Decision{}, err
+	}
+	return ds[0], nil
+}
+
+// classifyBatchStagedWith is the staged decision engine. Chunk boundaries
+// replicate the activation checkpoints of stagedDecision; within a chunk,
 // members run over the pending images (concurrently up to the Workers cap),
 // and their rows are consumed in member order so vote accounting is
-// order-identical to classifySequential. With a non-nil policy, each stage
-// boundary is offered to the policy, which may deepen/flatten the schedule,
-// halt escalation, or override the stage backend; the clean result reports
-// whether the batch stayed on the static schedule (nil policy is always
-// clean, and bit-identical to the engine before the seam existed).
+// order-identical to it. With a non-nil policy, each stage boundary is
+// offered to the policy, which may deepen/flatten the schedule, halt
+// escalation, or override the stage backend; the clean result reports
+// whether the batch stayed on the static schedule (a nil policy is always
+// clean).
 func (s *System) classifyBatchStagedWith(ctx context.Context, xs []*tensor.T, policy StagePolicy, infer batchStageInferFn) ([]Decision, bool, error) {
 	n := len(s.Members)
 	out := make([]Decision, len(xs))
@@ -250,62 +297,55 @@ type batchScratch struct {
 	a32 *tensor.Arena32
 }
 
-// batchArenaInfer returns a batched member execution strategy: preprocess
-// each image, run the member's network over the whole set — InferBatchArena
-// for float64 members, the compiled Net32 for reduced-precision ones — and
-// return the probability rows. Scratch is drawn from the pool so concurrent
-// member calls never share arenas.
-func (s *System) batchArenaInfer(pool *sync.Pool) batchInferFn {
-	stage := s.batchStageArenaInfer(pool)
-	return func(m int, xs []*tensor.T) [][]float64 {
-		return stage(m, BackendF64, false, xs)
-	}
-}
+// scratchPool recycles arena pairs across calls (and Systems) for the life
+// of the process, so concurrent member calls never share arenas and a
+// steady serving load reuses the same buffers. A per-call pool would build
+// fresh arenas for every batch and roughly double peak RSS under load.
+var scratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// batchStageArenaInfer is batchArenaInfer with per-stage backend overrides:
-// when the policy requests a backend, the member runs its adaptive variant
-// compiled by PrepareAdaptive (falling back to the configured path when the
-// variant is absent, so a half-prepared system degrades to correct-but-
-// static rather than failing).
-func (s *System) batchStageArenaInfer(pool *sync.Pool) batchStageInferFn {
-	return func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
-		sc := pool.Get().(*batchScratch)
-		mem := &s.Members[m]
-		st := s.verifySink(mem)
-		pre := make([]*tensor.T, len(xs))
-		for i, x := range xs {
-			pre[i] = mem.Pre.Apply(x)
-		}
-		net32 := mem.resolveNet(be, override)
-		var rows [][]float64
-		if net32 != nil {
-			if sc.a32 == nil {
-				sc.a32 = tensor.NewArena32()
-			}
-			sc.a32.SetAbft(st)
-			rows = net32.InferBatch(pre, sc.a32)
-			sc.a32.Reset()
-		} else {
-			if sc.a == nil {
-				sc.a = tensor.NewArena()
-			}
-			sc.a.SetAbft(st)
-			probs := mem.Net.InferBatchArena(pre, sc.a)
-			rows = make([][]float64, len(xs))
-			for i, p := range probs {
-				rows[i] = append([]float64(nil), p.Data...)
-			}
-			sc.a.Reset()
-		}
-		if s.finishVerify(st) {
-			// One fused call covers the whole pending batch for this member:
-			// an uncorrectable fault cannot be attributed to a single image,
-			// so every row of the call abstains.
-			for _, row := range rows {
-				suspectRow(row)
-			}
-		}
-		pool.Put(sc)
-		return rows
+// stageInfer is the engine's member execution strategy: preprocess each
+// image, run the member's network over the whole set — InferBatchArena for
+// float64 members, the compiled Net32 for reduced-precision ones — and
+// return the probability rows. When override is set the member runs its
+// adaptive variant for backend be, compiled by PrepareAdaptive (falling
+// back to the configured path when the variant is absent, so a
+// half-prepared system degrades to correct-but-static rather than failing).
+func (s *System) stageInfer(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
+	sc := scratchPool.Get().(*batchScratch)
+	mem := &s.Members[m]
+	st := s.verifySink(mem)
+	pre := make([]*tensor.T, len(xs))
+	for i, x := range xs {
+		pre[i] = mem.Pre.Apply(x)
 	}
+	var rows [][]float64
+	if net32 := mem.resolveNet(be, override); net32 != nil {
+		if sc.a32 == nil {
+			sc.a32 = tensor.NewArena32()
+		}
+		sc.a32.SetAbft(st)
+		rows = net32.InferBatch(pre, sc.a32)
+		sc.a32.Reset()
+	} else {
+		if sc.a == nil {
+			sc.a = tensor.NewArena()
+		}
+		sc.a.SetAbft(st)
+		probs := mem.Net.InferBatchArena(pre, sc.a)
+		rows = make([][]float64, len(xs))
+		for i, p := range probs {
+			rows[i] = append([]float64(nil), p.Data...)
+		}
+		sc.a.Reset()
+	}
+	if s.finishVerify(st) {
+		// One fused call covers the whole pending batch for this member:
+		// an uncorrectable fault cannot be attributed to a single image,
+		// so every row of the call abstains.
+		for _, row := range rows {
+			suspectRow(row)
+		}
+	}
+	scratchPool.Put(sc)
+	return rows
 }

@@ -192,11 +192,11 @@ func (p *PredictionCache) Stats() CacheStats {
 // kernels shift softmax rows), and the attached stage-policy descriptor —
 // plus a caller salt for transformations the member names cannot see (e.g.
 // RAMR precision bits, which rewrite network weights after assembly).
-// Workers/Parallel are deliberately excluded: they change wall-clock time,
-// never decisions. The policy descriptor is belt-and-braces: degraded
-// batches are never stored anyway (see classifyBatchCachedWith), but
-// keying on the descriptor keeps persistent tiers written under different
-// policies disjoint by construction.
+// Workers is deliberately excluded: it changes wall-clock time, never a
+// decision (one engine, batch-invariant kernels). The policy descriptor is
+// belt-and-braces: degraded batches are never stored anyway (see
+// classifyBatchCachedWith), but keying on the descriptor keeps persistent
+// tiers written under different policies disjoint by construction.
 func (s *System) ConfigFingerprint(salt string) cache.Fingerprint {
 	names := make([]string, len(s.Members))
 	for i, m := range s.Members {
@@ -264,25 +264,24 @@ func isCtxErr(err error) bool {
 	return err == context.Canceled || err == context.DeadlineExceeded
 }
 
-// runOneFn computes one image uncached; runBatchFn computes a batch
-// uncached, additionally reporting whether the batch is clean — computed on
-// the static schedule and therefore storeable. A policy-degraded batch
-// (clean == false) is served and published to coalesced followers but never
-// inserted, so the cache only ever holds reference decisions. The cached
-// paths are written against these seams — mirroring the inferFn seam of the
-// engines — so the equivalence property tests can drive them with exact
-// synthetic softmax tables.
-type runOneFn func(context.Context, *tensor.T) (Decision, error)
+// runBatchFn computes a batch uncached, additionally reporting whether the
+// batch is clean — computed on the static schedule and therefore storeable.
+// A policy-degraded batch (clean == false) is served and published to
+// coalesced followers but never inserted, so the cache only ever holds
+// reference decisions. Single images (Classify, and a follower recomputing
+// after its leader gave up) run the engine as a static batch of one through
+// the member seam (batchStageInferFn). The property tests drive both seams
+// with exact synthetic softmax tables.
 type runBatchFn func(context.Context, []*tensor.T) ([]Decision, bool, error)
 
 // classifyCached is the single-image cached path: probe, then join or lead
 // the singleflight for the key. Followers whose own context is still live
 // retry when the leader's caller gave up.
 func (s *System) classifyCached(ctx context.Context, x *tensor.T) (Decision, error) {
-	return s.classifyCachedWith(ctx, x, s.classifyUncached)
+	return s.classifyCachedWith(ctx, x, s.stageInfer)
 }
 
-func (s *System) classifyCachedWith(ctx context.Context, x *tensor.T, runOne runOneFn) (Decision, error) {
+func (s *System) classifyCachedWith(ctx context.Context, x *tensor.T, infer batchStageInferFn) (Decision, error) {
 	pc := s.Cache
 	k := pc.KeyFor(x)
 	if d, ok := pc.get(k); ok {
@@ -291,7 +290,7 @@ func (s *System) classifyCachedWith(ctx context.Context, x *tensor.T, runOne run
 	for {
 		f, leader := pc.group.Join(k)
 		if leader {
-			d, err := runOne(ctx, x)
+			d, err := s.classifyOne(ctx, x, infer)
 			if err != nil {
 				pc.group.Finish(k, f, Decision{}, err)
 				return Decision{}, err
@@ -323,10 +322,10 @@ func (s *System) classifyCachedWith(ctx context.Context, x *tensor.T, runOne run
 // its unique images only. Decisions are index-aligned and identical to the
 // uncached engine's.
 func (s *System) classifyBatchCached(ctx context.Context, xs []*tensor.T) ([]Decision, error) {
-	return s.classifyBatchCachedWith(ctx, xs, s.classifyBatchUncachedTagged, s.classifyUncached)
+	return s.classifyBatchCachedWith(ctx, xs, s.runBatch, s.stageInfer)
 }
 
-func (s *System) classifyBatchCachedWith(ctx context.Context, xs []*tensor.T, runBatch runBatchFn, runOne runOneFn) ([]Decision, error) {
+func (s *System) classifyBatchCachedWith(ctx context.Context, xs []*tensor.T, runBatch runBatchFn, infer batchStageInferFn) ([]Decision, error) {
 	pc := s.Cache
 	out := make([]Decision, len(xs))
 	keys := make([]cache.Key, len(xs))
@@ -392,7 +391,7 @@ func (s *System) classifyBatchCachedWith(ctx context.Context, xs []*tensor.T, ru
 
 	// Collect results computed by other callers' flights.
 	for _, fw := range follows {
-		d, err := s.awaitFlight(ctx, keys[fw.idx], xs[fw.idx], fw.flight, runOne)
+		d, err := s.awaitFlight(ctx, keys[fw.idx], xs[fw.idx], fw.flight, infer)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +412,7 @@ func (s *System) classifyBatchCachedWith(ctx context.Context, xs []*tensor.T, ru
 // dies of its own cancellation while our context is live, we re-probe and,
 // if needed, compute the single image ourselves rather than inherit a
 // cancellation our caller never issued.
-func (s *System) awaitFlight(ctx context.Context, k cache.Key, x *tensor.T, f *cache.Flight[Decision], runOne runOneFn) (Decision, error) {
+func (s *System) awaitFlight(ctx context.Context, k cache.Key, x *tensor.T, f *cache.Flight[Decision], infer batchStageInferFn) (Decision, error) {
 	pc := s.Cache
 	for {
 		d, err := f.Wait(ctx)
@@ -431,7 +430,7 @@ func (s *System) awaitFlight(ctx context.Context, k cache.Key, x *tensor.T, f *c
 		if !leader {
 			continue
 		}
-		d, err = runOne(ctx, x)
+		d, err = s.classifyOne(ctx, x, infer)
 		if err != nil {
 			pc.group.Finish(k, f, Decision{}, err)
 			return Decision{}, err

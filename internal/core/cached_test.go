@@ -17,27 +17,24 @@ func testCacheConfig() cache.Config {
 	return cache.Config{MaxBytes: 1 << 20, TTL: time.Hour, Shards: 4}
 }
 
-// tableRunners adapts a per-image softmax table set to the cached-path run
+// tableRunners adapts a per-image softmax table set to the cached-path
 // seams: tensors carry their table index in Data[0], exactly like the
-// batched-engine property tests.
-func tableRunners(s *System, tables [][][]float64, calls *atomic.Int64) (runOneFn, runBatchFn) {
-	batchInfer := func(m int, pend []*tensor.T) [][]float64 {
-		rows := make([][]float64, len(pend))
-		for i, x := range pend {
-			rows[i] = append([]float64(nil), tables[int(x.Data[0])][m]...)
+// engine property tests. calls counts the images computed — a batch adds
+// its size, a single image (which runs its initial stage through member 0)
+// adds one.
+func tableRunners(s *System, tables [][][]float64, calls *atomic.Int64) (batchStageInferFn, runBatchFn) {
+	infer := tableStageInfer(tables, nil)
+	one := func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
+		if m == 0 {
+			calls.Add(int64(len(xs)))
 		}
-		return rows
-	}
-	runOne := func(ctx context.Context, x *tensor.T) (Decision, error) {
-		calls.Add(1)
-		return s.classifySequential(ctx, x, tableInfer(tables[int(x.Data[0])]))
+		return infer(m, be, override, xs)
 	}
 	runBatch := func(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
 		calls.Add(int64(len(xs)))
-		ds, err := s.classifyBatchNetworks(ctx, xs, batchInfer)
-		return ds, err == nil, err
+		return s.classifyBatchStagedWith(ctx, xs, nil, infer)
 	}
-	return runOne, runBatch
+	return one, runBatch
 }
 
 // TestClassifyBatchCachedMatchesSequentialTables is the cached-path
@@ -45,7 +42,7 @@ func tableRunners(s *System, tables [][][]float64, calls *atomic.Int64) (runOneF
 // (thresholds, staging, batch shape) and duplicate-heavy batches, the
 // cached ClassifyBatch path — store hits, intra-batch dedup, singleflight
 // leads — returns decisions deeply equal (bit-identical, exact tables) to
-// running classifySequential on every position independently. A second
+// the sequential oracle on every position independently. A second
 // pass over the same batch must be served from the store, again
 // bit-identical, without recomputing anything.
 func TestClassifyBatchCachedMatchesSequentialTables(t *testing.T) {
@@ -57,20 +54,7 @@ func TestClassifyBatchCachedMatchesSequentialTables(t *testing.T) {
 		unique := 1 + rng.Intn(6)
 		B := 1 + rng.Intn(12)
 
-		tables := make([][][]float64, unique)
-		for u := range tables {
-			tables[u] = make([][]float64, n)
-			for m := range tables[u] {
-				tables[u][m] = randDist(rng, classes)
-				if rng.Intn(2) == 0 {
-					peak := rng.Intn(classes)
-					for j := range tables[u][m] {
-						tables[u][m][j] *= 0.2
-					}
-					tables[u][m][peak] += 0.8
-				}
-			}
-		}
+		tables := randImageTables(rng, unique, n, classes)
 		th := Thresholds{Conf: rng.Float64() * 0.95, Freq: 1 + rng.Intn(n)}
 		s := tableSystem(n, th, rng.Intn(4) != 0, 1+rng.Intn(3), 1+rng.Intn(8))
 		s.EnableCache(testCacheConfig(), "")
@@ -83,18 +67,14 @@ func TestClassifyBatchCachedMatchesSequentialTables(t *testing.T) {
 		}
 
 		var calls atomic.Int64
-		runOne, runBatch := tableRunners(s, tables, &calls)
-		got, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, runOne)
+		one, runBatch := tableRunners(s, tables, &calls)
+		got, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, one)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
 		for i := range xs {
-			want, werr := s.classifySequential(context.Background(), xs[i], tableInfer(tables[int(xs[i].Data[0])]))
-			if werr != nil {
-				t.Fatalf("case %d: sequential error %v", c, werr)
-			}
-			if !reflect.DeepEqual(want, got[i]) {
-				t.Fatalf("case %d position %d (dup of table %d):\nsequential %+v\ncached     %+v",
+			if want := oracle(s, tables[int(xs[i].Data[0])]); !reflect.DeepEqual(want, got[i]) {
+				t.Fatalf("case %d position %d (dup of table %d):\noracle %+v\ncached %+v",
 					c, i, int(xs[i].Data[0]), want, got[i])
 			}
 		}
@@ -109,7 +89,7 @@ func TestClassifyBatchCachedMatchesSequentialTables(t *testing.T) {
 
 		// Second pass: pure store hits, still bit-identical.
 		calls.Store(0)
-		again, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, runOne)
+		again, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, one)
 		if err != nil {
 			t.Fatalf("case %d second pass: %v", c, err)
 		}
@@ -135,16 +115,16 @@ func TestClassifyCachedSingle(t *testing.T) {
 	s := tableSystem(3, Thresholds{Conf: 0.1, Freq: 2}, true, 1, 1)
 	s.EnableCache(testCacheConfig(), "")
 	var calls atomic.Int64
-	runOne, _ := tableRunners(s, tables, &calls)
+	one, _ := tableRunners(s, tables, &calls)
 
 	x := tensor.New(1)
-	want, _ := s.classifySequential(context.Background(), x, tableInfer(tables[0]))
+	want := oracle(s, tables[0])
 
-	d1, err := s.classifyCachedWith(context.Background(), x, runOne)
+	d1, err := s.classifyCachedWith(context.Background(), x, one)
 	if err != nil || !reflect.DeepEqual(d1, want) {
 		t.Fatalf("first call = %+v, %v; want %+v", d1, err, want)
 	}
-	d2, err := s.classifyCachedWith(context.Background(), x, runOne)
+	d2, err := s.classifyCachedWith(context.Background(), x, one)
 	if err != nil || !reflect.DeepEqual(d2, want) {
 		t.Fatalf("second call = %+v, %v; want %+v", d2, err, want)
 	}
@@ -155,7 +135,7 @@ func TestClassifyCachedSingle(t *testing.T) {
 	for k := range d2.Votes {
 		d2.Votes[k] = 999
 	}
-	d3, _ := s.classifyCachedWith(context.Background(), x, runOne)
+	d3, _ := s.classifyCachedWith(context.Background(), x, one)
 	if !reflect.DeepEqual(d3, want) {
 		t.Fatal("cached decision corrupted by caller mutation")
 	}
@@ -171,10 +151,13 @@ func TestClassifyCachedCoalescesConcurrent(t *testing.T) {
 	s.EnableCache(testCacheConfig(), "")
 	var calls atomic.Int64
 	release := make(chan struct{})
-	runOne := func(ctx context.Context, x *tensor.T) (Decision, error) {
-		calls.Add(1)
+	rows := tableStageInfer([][][]float64{{{0, 0, 0, 0, 0, 0, 0, 1}, {0, 0, 0, 0, 0, 0, 0, 1}}}, nil)
+	infer := func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
+		if m == 0 {
+			calls.Add(1)
+		}
 		<-release
-		return Decision{Label: 7, Reliable: true, Votes: map[int]int{7: 2}, Activated: 2}, nil
+		return rows(m, be, override, xs)
 	}
 
 	x := tensor.New(1)
@@ -184,8 +167,8 @@ func TestClassifyCachedCoalescesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := s.classifyCachedWith(context.Background(), x, runOne)
-			if err != nil || d.Label != 7 {
+			d, err := s.classifyCachedWith(context.Background(), x, infer)
+			if err != nil || d.Label != 7 || !d.Reliable {
 				t.Errorf("coalesced call = %+v, %v", d, err)
 			}
 		}()
@@ -213,11 +196,9 @@ func TestClassifyBatchCachedErrorPropagates(t *testing.T) {
 	runBatch := func(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
 		return nil, false, context.Canceled
 	}
-	runOne := func(ctx context.Context, x *tensor.T) (Decision, error) {
-		return Decision{Label: 1, Votes: map[int]int{}, Activated: 2}, nil
-	}
+	infer := tableStageInfer([][][]float64{{{0, 1}, {0, 1}}}, nil)
 	x := tensor.New(1)
-	if _, err := s.classifyBatchCachedWith(context.Background(), []*tensor.T{x}, runBatch, runOne); err == nil {
+	if _, err := s.classifyBatchCachedWith(context.Background(), []*tensor.T{x}, runBatch, infer); err == nil {
 		t.Fatal("expected error from failed compute")
 	}
 	// The key must not be poisoned: a later caller recomputes successfully.
@@ -228,16 +209,16 @@ func TestClassifyBatchCachedErrorPropagates(t *testing.T) {
 		}
 		return ds, true, nil
 	}
-	ds, err := s.classifyBatchCachedWith(context.Background(), []*tensor.T{x}, okBatch, runOne)
+	ds, err := s.classifyBatchCachedWith(context.Background(), []*tensor.T{x}, okBatch, infer)
 	if err != nil || ds[0].Label != 1 {
 		t.Fatalf("retry after error = %+v, %v", ds, err)
 	}
 }
 
 // TestCachedRealSystemBitIdentical locks the acceptance criterion on real
-// networks: with Workers == 1 (the bit-exact sequential arena path), a
-// cache-enabled system returns decisions deeply equal to its uncached twin
-// on a duplicate-heavy batch — and to per-image Classify.
+// networks: a cache-enabled system returns decisions deeply equal to its
+// uncached twin on a duplicate-heavy batch — and to per-image Classify —
+// at any worker count.
 func TestCachedRealSystemBitIdentical(t *testing.T) {
 	plain, xs := raceFixture(t)
 	cached, _ := raceFixture(t)
@@ -253,7 +234,7 @@ func TestCachedRealSystemBitIdentical(t *testing.T) {
 	want := plain.ClassifyBatch(batch)
 	got := cached.ClassifyBatch(batch)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("cached batch decisions differ from uncached (Workers=1 bit-exact path)")
+		t.Fatal("cached batch decisions differ from uncached")
 	}
 	for i, x := range xs {
 		if d := cached.Classify(x); !reflect.DeepEqual(d, want[i]) {
@@ -265,27 +246,22 @@ func TestCachedRealSystemBitIdentical(t *testing.T) {
 		t.Fatalf("expected dedup and hits on duplicate-heavy batch: %+v", st)
 	}
 
-	// Workers > 1 takes the fused batched path for the misses; decisions
-	// stay within the batched-kernel contract of the uncached engine.
+	// Workers only changes how many members of a stage run at once.
 	cached2, _ := raceFixture(t)
 	cached2.Members = plain.Members
 	cached2.Workers = 3
 	cached2.EnableCache(testCacheConfig(), "")
-	got2 := cached2.ClassifyBatch(batch)
-	for i := range batch {
-		if !decisionsEquivalent(want[i], got2[i]) {
-			t.Fatalf("workers=3 cached frame %d: %+v !~ %+v", i, got2[i], want[i])
-		}
+	if got2 := cached2.ClassifyBatch(batch); !reflect.DeepEqual(want, got2) {
+		t.Fatal("workers=3 cached batch decisions differ from workers=1 uncached")
 	}
 }
 
 // TestCachedConcurrentSharedSystem hammers one cache-enabled shared system
 // from many goroutines over overlapping inputs — the cached counterpart of
 // TestClassifyConcurrentSharedSystem, run under -race in CI. Every decision
-// is checked against the uncached sequential reference.
+// is checked against the uncached reference.
 func TestCachedConcurrentSharedSystem(t *testing.T) {
 	sys, xs := raceFixture(t)
-	sys.Workers = 1 // bit-exact engine → DeepEqual against the reference
 	ref := make([]Decision, len(xs))
 	for i, x := range xs {
 		ref[i] = sys.Classify(x)
@@ -354,7 +330,7 @@ func TestConfigFingerprint(t *testing.T) {
 	if sys.ConfigFingerprint("bits=8") == base {
 		t.Error("salt change kept the fingerprint")
 	}
-	if mutate(func(s *System) { s.Workers = 7; s.Parallel = true }) != base {
+	if mutate(func(s *System) { s.Workers = 7 }) != base {
 		t.Error("execution-only knobs must not re-key the cache")
 	}
 	// Batch<1 normalizes like the engines do.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,12 +13,11 @@ import (
 
 // TestClassifyContextMatchesClassify checks the context variants are exact
 // aliases of the plain calls under a never-done context, on a real (shared
-// network) system and on both execution strategies.
+// network) system at one and at several workers.
 func TestClassifyContextMatchesClassify(t *testing.T) {
 	sys, xs := raceFixture(t)
-	for _, parallel := range []bool{false, true} {
-		sys.Parallel = parallel
-		sys.Workers = 4
+	for _, workers := range []int{1, 4} {
+		sys.Workers = workers
 		for i, x := range xs {
 			want := sys.Classify(x)
 			got, err := sys.ClassifyContext(context.Background(), x)
@@ -25,69 +25,76 @@ func TestClassifyContextMatchesClassify(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("parallel=%v frame %d: %+v != %+v", parallel, i, got, want)
+				t.Errorf("workers=%d frame %d: %+v != %+v", workers, i, got, want)
 			}
 		}
-	}
-	sys.Parallel = false
-	want := sys.ClassifyBatch(xs)
-	got, err := sys.ClassifyBatchContext(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("ClassifyBatchContext diverges from ClassifyBatch")
+		want := sys.ClassifyBatch(xs)
+		got, err := sys.ClassifyBatchContext(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: ClassifyBatchContext diverges from ClassifyBatch", workers)
+		}
 	}
 }
 
-// TestClassifyContextCancelled checks a pre-cancelled context aborts before
-// any member runs, on both execution strategies.
+// TestClassifyContextCancelled checks a pre-cancelled context aborts
+// ClassifyContext before any member runs, at one and at several workers.
 func TestClassifyContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	x := tensor.New(1)
-	ran := 0
-	infer := func(i int, _ *tensor.T) []float64 {
-		ran++
-		return []float64{1, 0}
+	var ran atomic.Int32
+	infer := tableStageInfer([][][]float64{{{1, 0}, {1, 0}, {1, 0}}}, func(int, Backend, bool) { ran.Add(1) })
+	for _, workers := range []int{1, 3} {
+		s := tableSystem(3, Thresholds{Conf: 0.5, Freq: 2}, true, 1, workers)
+		if _, err := s.classifyOne(ctx, tensor.New(1), infer); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if _, err := s.ClassifyContext(ctx, tensor.New(1, 2, 2)); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: ClassifyContext err = %v, want context.Canceled", workers, err)
+		}
 	}
-	s := tableSystem(3, Thresholds{Conf: 0.5, Freq: 2}, true, 1, 3)
-	if _, err := s.classifySequential(ctx, x, infer); !errors.Is(err, context.Canceled) {
-		t.Errorf("sequential err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Errorf("sequential ran %d members under a cancelled context", ran)
-	}
-	if _, err := s.classifyParallel(ctx, x, tableInfer([][]float64{{1, 0}, {1, 0}, {1, 0}})); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel err = %v, want context.Canceled", err)
+	if n := ran.Load(); n != 0 {
+		t.Errorf("ran %d members under a cancelled context", n)
 	}
 }
 
-// TestClassifyParallelDeadlineAborts checks the parallel wait arm: member
-// inferences that never finish must not hang ClassifyContext past its
-// deadline.
+// TestClassifyParallelDeadlineAborts checks that member inferences that
+// outlive the deadline do not let ClassifyContext return a decision: with
+// the initial stage's members running concurrently and blocked, the call
+// reports context.DeadlineExceeded once they drain, before any later stage.
 func TestClassifyParallelDeadlineAborts(t *testing.T) {
 	release := make(chan struct{})
-	defer close(release)
-	blocked := func(i int, _ *tensor.T) []float64 {
+	var ran atomic.Int32
+	rows := tableStageInfer([][][]float64{{{1, 0}, {0, 1}, {1, 0}}}, nil)
+	blocked := func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
+		ran.Add(1)
 		<-release
-		return []float64{1, 0}
+		return rows(m, be, override, xs)
 	}
 	s := tableSystem(3, Thresholds{Conf: 0.5, Freq: 2}, true, 1, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.classifyParallel(ctx, tensor.New(1), blocked)
+		_, err := s.classifyOne(ctx, tensor.New(1), blocked)
 		done <- err
 	}()
+	<-ctx.Done()
+	close(release)
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("err = %v, want context.DeadlineExceeded", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("classifyParallel did not honor the deadline")
+		t.Fatal("ClassifyContext did not honor the deadline")
+	}
+	// The split initial stage leaves the decision open, but the expired
+	// deadline stops the engine before member 2.
+	if n := ran.Load(); n != 2 {
+		t.Errorf("ran %d members, want the 2 of the initial stage", n)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // benchFixture builds an untrained (random-weight) 4-member system and a
 // 32-image workload. Untrained weights classify garbage but cost exactly the
 // same FLOPs as trained ones, so the fixture benchmarks the execution
-// strategies without paying zoo training time. Staged activation is off so
-// every strategy does identical work (all members on all images).
+// engine without paying zoo training time. Staged activation is off so
+// every benchmark does identical work (all members on all images).
 func benchFixture(b *testing.B) (*System, []*tensor.T) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
@@ -41,24 +41,12 @@ func benchFixture(b *testing.B) (*System, []*tensor.T) {
 	return sys, xs
 }
 
-// The three benchmarks below process the same 32-image workload per
-// iteration, so ns/op and allocs/op are directly comparable across
-// strategies (EXPERIMENTS.md records the numbers).
+// The benchmarks below process the same 32-image workload per iteration, so
+// ns/op and allocs/op are directly comparable: 32 batches of one, one batch
+// of 32, and one batch of 32 with members run one at a time.
 
 func BenchmarkClassifySequential(b *testing.B) {
 	sys, xs := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range xs {
-			sys.Classify(x)
-		}
-	}
-}
-
-func BenchmarkClassifyParallel(b *testing.B) {
-	sys, xs := benchFixture(b)
-	sys.Parallel = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,9 +65,9 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyBatchSingleWorker isolates the arena effect: one worker,
-// so the entire allocation win over BenchmarkClassifySequential comes from
-// scratch-buffer reuse rather than parallelism.
+// BenchmarkClassifyBatchSingleWorker isolates the batching effect: one
+// worker, so the entire win over BenchmarkClassifySequential comes from
+// fused minibatch kernels rather than parallelism.
 func BenchmarkClassifyBatchSingleWorker(b *testing.B) {
 	sys, xs := benchFixture(b)
 	sys.Workers = 1

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,91 +12,67 @@ import (
 	"repro/internal/tensor"
 )
 
-// decisionsEquivalent compares decisions under the batched-kernel contract:
-// Label, Reliable, Activated and the vote histogram must be exact; the
-// Confidence may drift within the 1e-9 softmax tolerance of the fused batch
-// inference path (internal/nn/batch.go).
-func decisionsEquivalent(a, b Decision) bool {
-	if a.Label != b.Label || a.Reliable != b.Reliable || a.Activated != b.Activated {
-		return false
-	}
-	if !reflect.DeepEqual(a.Votes, b.Votes) {
-		return false
-	}
-	return math.Abs(a.Confidence-b.Confidence) <= 1e-9
-}
-
-// tableSystem builds a System driven purely through an injected inferFn —
-// the members are placeholders, so the decision engine can be exercised on
-// synthetic softmax tables without any networks.
+// tableSystem builds a System driven purely through an injected
+// batchStageInferFn — the members are placeholders, so the decision engine
+// can be exercised on synthetic softmax tables without any networks.
 func tableSystem(n int, th Thresholds, staged bool, batch, workers int) *System {
 	return &System{Members: make([]Member, n), Th: th, Staged: staged, Batch: batch, Workers: workers}
 }
 
-// tableInfer serves precomputed softmax rows. Safe for concurrent calls.
-func tableInfer(rows [][]float64) inferFn {
-	return func(i int, _ *tensor.T) []float64 {
-		return append([]float64(nil), rows[i]...)
+// oracle is the reference decision for one image whose member rows, in
+// priority order, are rows: the per-sample staged loop the thresholds are
+// profiled with (stagedDecision, the body of Recorded.Staged), or every
+// member when the system is unstaged.
+func oracle(s *System, rows [][]float64) Decision {
+	if !s.Staged {
+		return Decide(rows, s.Th)
 	}
+	return stagedDecision(rows, s.Th, s.Batch)
 }
 
 // TestClassifyParallelMatchesSequential is the core equivalence property of
-// the concurrent engine: for random member outputs, thresholds, batch sizes
-// and worker counts, classifyParallel returns a Decision deeply equal to
-// classifySequential — same label, reliability, confidence, vote histogram,
-// and (critically for RADE) the same Activated count, even though the
-// parallel path runs later stages speculatively.
+// the engine for a single image: for random member outputs, thresholds,
+// batch sizes and worker counts > 1 (members of a stage run concurrently),
+// the batch-of-one Classify path returns a Decision deeply equal to the
+// sequential per-sample oracle — same label, reliability, confidence, vote
+// histogram, and (critically for RADE) the same Activated count.
 func TestClassifyParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x := tensor.New(1)
 	const cases = 2000
 	for c := 0; c < cases; c++ {
 		n := 2 + rng.Intn(7)
-		classes := 2 + rng.Intn(5)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = randDist(rng, classes)
-			// Occasionally sharpen a row so the confidence gate passes.
-			if rng.Intn(2) == 0 {
-				peak := rng.Intn(classes)
-				for j := range rows[i] {
-					rows[i][j] *= 0.2
-				}
-				rows[i][peak] += 0.8
-			}
-		}
+		rows := randImageTables(rng, 1, n, 2+rng.Intn(5))[0]
 		th := Thresholds{Conf: rng.Float64() * 0.95, Freq: 1 + rng.Intn(n)}
 		staged := rng.Intn(4) != 0
 		batch := 1 + rng.Intn(3)
 		workers := 2 + rng.Intn(7)
 
-		seq := tableSystem(n, th, staged, batch, workers)
-		par := tableSystem(n, th, staged, batch, workers)
-		want, werr := seq.classifySequential(context.Background(), x, tableInfer(rows))
-		got, gerr := par.classifyParallel(context.Background(), x, tableInfer(rows))
-		if werr != nil || gerr != nil {
-			t.Fatalf("case %d: unexpected errors %v / %v", c, werr, gerr)
+		s := tableSystem(n, th, staged, batch, workers)
+		want := oracle(s, rows)
+		got, err := s.classifyOne(context.Background(), x, tableStageInfer([][][]float64{rows}, nil))
+		if err != nil {
+			t.Fatalf("case %d: unexpected error %v", c, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("case %d (n=%d th=%v staged=%v batch=%d workers=%d):\nsequential %+v\nparallel   %+v",
+			t.Fatalf("case %d (n=%d th=%v staged=%v batch=%d workers=%d):\noracle %+v\nengine %+v",
 				c, n, th, staged, batch, workers, want, got)
 		}
 	}
 }
 
 // TestClassifyParallelSingleWorkerFallsBack checks the degenerate pool sizes
-// take the sequential path and still agree.
+// run every member inline and still agree with the oracle.
 func TestClassifyParallelSingleWorkerFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.New(1)
 	rows := [][]float64{randDist(rng, 3), randDist(rng, 3), randDist(rng, 3)}
 	for _, workers := range []int{1, -1} {
-		seq := tableSystem(3, Thresholds{Conf: 0.2, Freq: 2}, true, 1, workers)
-		par := tableSystem(3, Thresholds{Conf: 0.2, Freq: 2}, true, 1, workers)
-		want, _ := seq.classifySequential(context.Background(), x, tableInfer(rows))
-		got, _ := par.classifyParallel(context.Background(), x, tableInfer(rows))
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: sequential %+v != parallel %+v", workers, want, got)
+		s := tableSystem(3, Thresholds{Conf: 0.2, Freq: 2}, true, 1, workers)
+		want := oracle(s, rows)
+		got, err := s.classifyOne(context.Background(), x, tableStageInfer([][][]float64{rows}, nil))
+		if err != nil || !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: oracle %+v != engine %+v (err %v)", workers, want, got, err)
 		}
 	}
 }
@@ -116,14 +92,13 @@ func TestWorkerCount(t *testing.T) {
 }
 
 // TestClassifyBatchNetworksMatchesSequential is the equivalence property of
-// the per-network batched engine: for random member-output tables, staging
-// configurations and batch compositions, classifyBatchNetworks must return,
-// for every image, a Decision deeply equal to running classifySequential on
-// that image alone — same label, reliability, confidence, vote histogram and
-// Activated count — even though images share a global stage schedule and
-// drop out of the batch at different boundaries. The injected tables are
-// exact, so the comparison is bit-exact here; float tolerance only enters
-// with real batched kernels (covered by TestParallelAndBatchMatchOnRealSystem).
+// the staged batch engine: for random member-output tables, staging
+// configurations and batch compositions, it must return, for every image, a
+// Decision deeply equal to the sequential per-sample oracle on that image
+// alone — same label, reliability, confidence, vote histogram and Activated
+// count — even though images share a global stage schedule and drop out of
+// the batch at different boundaries. Real kernels are covered by
+// TestParallelAndBatchMatchOnRealSystem.
 func TestClassifyBatchNetworksMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	const cases = 1500
@@ -132,52 +107,23 @@ func TestClassifyBatchNetworksMatchesSequential(t *testing.T) {
 		classes := 2 + rng.Intn(5)
 		B := 1 + rng.Intn(9)
 		// tables[i][m] is image i's softmax row from member m.
-		tables := make([][][]float64, B)
-		for i := range tables {
-			tables[i] = make([][]float64, n)
-			for m := range tables[i] {
-				tables[i][m] = randDist(rng, classes)
-				if rng.Intn(2) == 0 {
-					peak := rng.Intn(classes)
-					for j := range tables[i][m] {
-						tables[i][m][j] *= 0.2
-					}
-					tables[i][m][peak] += 0.8
-				}
-			}
-		}
+		tables := randImageTables(rng, B, n, classes)
 		th := Thresholds{Conf: rng.Float64() * 0.95, Freq: 1 + rng.Intn(n)}
 		staged := rng.Intn(4) != 0
 		batch := 1 + rng.Intn(3)
 		workers := 1 + rng.Intn(8)
 		s := tableSystem(n, th, staged, batch, workers)
 
-		// Images carry their table index in Data[0] so the batched seam can
-		// serve the right rows regardless of pending-set composition.
-		xs := make([]*tensor.T, B)
-		for i := range xs {
-			xs[i] = tensor.New(1)
-			xs[i].Data[0] = float64(i)
-		}
-		batchInfer := func(m int, pend []*tensor.T) [][]float64 {
-			rows := make([][]float64, len(pend))
-			for i, x := range pend {
-				rows[i] = append([]float64(nil), tables[int(x.Data[0])][m]...)
-			}
-			return rows
-		}
-
-		got, err := s.classifyBatchNetworks(context.Background(), xs, batchInfer)
+		// Images carry their table index in Data[0] so the seam can serve
+		// the right rows regardless of pending-set composition.
+		xs := indexedInputs(B)
+		got, _, err := s.classifyBatchStagedWith(context.Background(), xs, nil, tableStageInfer(tables, nil))
 		if err != nil {
 			t.Fatalf("case %d: unexpected error %v", c, err)
 		}
 		for i := 0; i < B; i++ {
-			want, werr := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
-			if werr != nil {
-				t.Fatalf("case %d: sequential error %v", c, werr)
-			}
-			if !reflect.DeepEqual(want, got[i]) {
-				t.Fatalf("case %d image %d (n=%d B=%d th=%v staged=%v batch=%d workers=%d):\nsequential %+v\nbatched    %+v",
+			if want := oracle(s, tables[i]); !reflect.DeepEqual(want, got[i]) {
+				t.Fatalf("case %d image %d (n=%d B=%d th=%v staged=%v batch=%d workers=%d):\noracle  %+v\nbatched %+v",
 					c, i, n, B, th, staged, batch, workers, want, got[i])
 			}
 		}
@@ -187,7 +133,7 @@ func TestClassifyBatchNetworksMatchesSequential(t *testing.T) {
 // TestClassifyBatchNetworksDuplicateHeavy extends the equivalence property
 // to duplicate-heavy batches: when many positions repeat the same image,
 // every position's Decision — Activated count, votes, label, reliability,
-// confidence — must stay bit-identical to the undeduped sequential path,
+// confidence — must stay bit-identical to the sequential oracle,
 // and duplicate positions must agree with each other exactly. This is the
 // correctness floor the cache layer's intra-batch dedup builds on.
 func TestClassifyBatchNetworksDuplicateHeavy(t *testing.T) {
@@ -198,20 +144,7 @@ func TestClassifyBatchNetworksDuplicateHeavy(t *testing.T) {
 		classes := 2 + rng.Intn(5)
 		unique := 1 + rng.Intn(4)
 		B := unique + rng.Intn(12) // every batch has at least one duplicate candidate
-		tables := make([][][]float64, unique)
-		for u := range tables {
-			tables[u] = make([][]float64, n)
-			for m := range tables[u] {
-				tables[u][m] = randDist(rng, classes)
-				if rng.Intn(2) == 0 {
-					peak := rng.Intn(classes)
-					for j := range tables[u][m] {
-						tables[u][m][j] *= 0.2
-					}
-					tables[u][m][peak] += 0.8
-				}
-			}
-		}
+		tables := randImageTables(rng, unique, n, classes)
 		th := Thresholds{Conf: rng.Float64() * 0.95, Freq: 1 + rng.Intn(n)}
 		s := tableSystem(n, th, rng.Intn(4) != 0, 1+rng.Intn(3), 1+rng.Intn(8))
 
@@ -222,25 +155,14 @@ func TestClassifyBatchNetworksDuplicateHeavy(t *testing.T) {
 			xs[i] = tensor.New(1)
 			xs[i].Data[0] = float64(idx[i])
 		}
-		batchInfer := func(m int, pend []*tensor.T) [][]float64 {
-			rows := make([][]float64, len(pend))
-			for i, x := range pend {
-				rows[i] = append([]float64(nil), tables[int(x.Data[0])][m]...)
-			}
-			return rows
-		}
-		got, err := s.classifyBatchNetworks(context.Background(), xs, batchInfer)
+		got, _, err := s.classifyBatchStagedWith(context.Background(), xs, nil, tableStageInfer(tables, nil))
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
 		firstOf := map[int]int{}
 		for i := 0; i < B; i++ {
-			want, werr := s.classifySequential(context.Background(), xs[i], tableInfer(tables[idx[i]]))
-			if werr != nil {
-				t.Fatalf("case %d: sequential error %v", c, werr)
-			}
-			if !reflect.DeepEqual(want, got[i]) {
-				t.Fatalf("case %d position %d (table %d):\nsequential %+v\nbatched    %+v",
+			if want := oracle(s, tables[idx[i]]); !reflect.DeepEqual(want, got[i]) {
+				t.Fatalf("case %d position %d (table %d):\noracle  %+v\nbatched %+v",
 					c, i, idx[i], want, got[i])
 			}
 			if j, dup := firstOf[idx[i]]; dup {
@@ -260,21 +182,14 @@ func TestClassifyBatchNetworksDuplicateHeavy(t *testing.T) {
 func TestClassifyBatchNetworksCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var ran int32
-	infer := func(m int, pend []*tensor.T) [][]float64 {
-		ran++
-		rows := make([][]float64, len(pend))
-		for i := range rows {
-			rows[i] = []float64{1, 0}
-		}
-		return rows
-	}
+	var ran atomic.Int32
+	infer := tableStageInfer([][][]float64{{{1, 0}, {1, 0}, {1, 0}}}, func(int, Backend, bool) { ran.Add(1) })
 	s := tableSystem(3, Thresholds{Conf: 0.5, Freq: 2}, true, 1, 3)
 	xs := []*tensor.T{tensor.New(1), tensor.New(1)}
-	if out, err := s.classifyBatchNetworks(ctx, xs, infer); err == nil || out != nil {
-		t.Errorf("classifyBatchNetworks = %v, %v; want nil, ctx error", out, err)
+	if out, _, err := s.classifyBatchStagedWith(ctx, xs, nil, infer); err == nil || out != nil {
+		t.Errorf("classifyBatchStagedWith = %v, %v; want nil, ctx error", out, err)
 	}
-	if ran != 0 {
+	if ran := ran.Load(); ran != 0 {
 		t.Errorf("ran %d member inferences under a cancelled context", ran)
 	}
 }
@@ -287,24 +202,18 @@ func TestClassifyBatchEmpty(t *testing.T) {
 }
 
 // TestParallelAndBatchMatchOnRealSystem locks the equivalence down on a real
-// zoo-trained system: for every test image, the parallel Classify path and
-// the arena-backed ClassifyBatch path must reproduce the sequential decision
-// exactly — including the float64 Confidence, i.e. the arena forward pass is
-// bit-identical to the allocating one.
+// zoo-trained system: for every test image, Classify (with members of a
+// stage running concurrently) and ClassifyBatch at Workers 1 and 3 must
+// reproduce the sequential oracle over the members' own softmax rows
+// exactly — including the float64 Confidence.
 func TestParallelAndBatchMatchOnRealSystem(t *testing.T) {
 	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("corepar")
 	variants := []model.Variant{{}, {Preproc: "FlipX"}, {Preproc: "Gamma(2)"}, {Preproc: "FlipY"}}
-	seq, err := BuildSystem(zoo, b, variants)
+	sys, err := BuildSystem(zoo, b, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildSystem(zoo, b, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.Parallel = true
-	par.Workers = 4
 
 	ds, _ := zoo.Dataset(b.DatasetName)
 	frames := ds.Test
@@ -312,39 +221,34 @@ func TestParallelAndBatchMatchOnRealSystem(t *testing.T) {
 		frames = frames[:120]
 	}
 	xs := make([]*tensor.T, len(frames))
+	rows := make([][][]float64, len(frames))
 	for i, s := range frames {
 		xs[i] = s.X
+		for m := range sys.Members {
+			rows[i] = append(rows[i], sys.stageInfer(m, BackendF64, false, []*tensor.T{s.X})[0])
+		}
 	}
 
 	for _, staged := range []bool{true, false} {
-		seq.Staged, par.Staged = staged, staged
+		sys.Staged = staged
 		want := make([]Decision, len(xs))
-		for i, x := range xs {
-			want[i] = seq.Classify(x)
+		for i := range xs {
+			want[i] = oracle(sys, rows[i])
 		}
+		sys.Workers = 4
 		for i, x := range xs {
-			if got := par.Classify(x); !reflect.DeepEqual(want[i], got) {
-				t.Fatalf("staged=%v parallel Classify frame %d: %+v != %+v", staged, i, got, want[i])
+			if got := sys.Classify(x); !reflect.DeepEqual(want[i], got) {
+				t.Fatalf("staged=%v Classify frame %d: %+v != %+v", staged, i, got, want[i])
 			}
 		}
-		// Workers == 1 takes the sequential arena path, which must stay
-		// bit-exact; Workers > 1 takes the per-network batched path, which
-		// must agree on every discrete field and on Confidence within the
-		// batched-kernel tolerance.
-		seq.Workers = 1
-		got := seq.ClassifyBatch(xs)
-		for i := range got {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Fatalf("staged=%v workers=1 ClassifyBatch frame %d: %+v != %+v",
-					staged, i, got[i], want[i])
-			}
-		}
-		seq.Workers = 3
-		got = seq.ClassifyBatch(xs)
-		for i := range got {
-			if !decisionsEquivalent(want[i], got[i]) {
-				t.Fatalf("staged=%v workers=3 batched ClassifyBatch frame %d: %+v !~ %+v",
-					staged, i, got[i], want[i])
+		for _, workers := range []int{1, 3} {
+			sys.Workers = workers
+			got := sys.ClassifyBatch(xs)
+			for i := range got {
+				if !reflect.DeepEqual(want[i], got[i]) {
+					t.Fatalf("staged=%v workers=%d ClassifyBatch frame %d: %+v != %+v",
+						staged, workers, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import "time"
 
 // This file defines the StagePolicy seam of the batched staged engine: a
 // runtime controller (internal/policy) can be attached to a System and
-// consulted at every stage boundary of classifyBatchStaged, where it may
+// consulted at every stage boundary of classifyBatchStagedWith, where it may
 // reshape the RADE schedule — run more (or all) members in one fused pass,
 // halt escalation and decide from the rows gathered so far, or override the
 // numeric backend of the stage (int8→f32→f64 precision escalation). A nil

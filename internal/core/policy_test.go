@@ -74,7 +74,7 @@ func indexedInputs(B int) []*tensor.T {
 
 // TestStagedNilPolicyBitIdentical is the acceptance property of the
 // StagePolicy seam: with a nil policy, the staged engine must stay
-// bit-identical to the per-image sequential reference — and must never
+// bit-identical to the per-image sequential oracle — and must never
 // request a backend override — across randomized systems at the batch
 // shapes the issue pins (B ∈ {1, 2, 7, 32}).
 func TestStagedNilPolicyBitIdentical(t *testing.T) {
@@ -105,11 +105,7 @@ func TestStagedNilPolicyBitIdentical(t *testing.T) {
 				t.Fatalf("B=%d case %d: nil policy requested backend overrides", B, c)
 			}
 			for i := range xs {
-				want, werr := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
-				if werr != nil {
-					t.Fatalf("B=%d case %d: sequential error %v", B, c, werr)
-				}
-				if !reflect.DeepEqual(want, got[i]) {
+				if want := oracle(s, tables[i]); !reflect.DeepEqual(want, got[i]) {
 					t.Fatalf("B=%d case %d image %d (n=%d th=%v staged=%v batch=%d):\nsequential %+v\nstaged     %+v",
 						B, c, i, n, th, s.Staged, s.Batch, want, got[i])
 				}
@@ -164,7 +160,7 @@ func TestStagedPassthroughPolicyBitIdentical(t *testing.T) {
 					t.Fatalf("pass %d B=%d case %d: ObserveStage never called", pi, B, c)
 				}
 				for i := range xs {
-					want, _ := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
+					want := oracle(s, tables[i])
 					if !reflect.DeepEqual(want, got[i]) {
 						t.Fatalf("pass %d B=%d case %d image %d:\nsequential  %+v\npassthrough %+v",
 							pi, B, c, i, want, got[i])
@@ -225,7 +221,7 @@ func TestStagedHaltPolicyDecidesFromGatheredRows(t *testing.T) {
 		}
 		anyPending := false
 		for i := range xs {
-			want, _ := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
+			want := oracle(s, tables[i])
 			if want.Activated <= end0 {
 				// Decided at (or before) the stage-0 boundary: the halt never
 				// touched this image.
@@ -287,7 +283,7 @@ func TestStagedHaltAtStageZeroSuppressed(t *testing.T) {
 			t.Fatalf("case %d: suppressed stage-0 halt still degraded the batch", c)
 		}
 		for i := range xs {
-			want, _ := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
+			want := oracle(s, tables[i])
 			if !reflect.DeepEqual(want, got[i]) {
 				t.Fatalf("case %d image %d: stage-0 halt changed the decision:\n%+v\n%+v", c, i, want, got[i])
 			}
@@ -389,14 +385,14 @@ func TestStagedFusedFullPass(t *testing.T) {
 		full := tableSystem(n, th, false, 1, 1)
 		deepened := false
 		for i := range xs {
-			want, _ := full.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
+			want := oracle(full, tables[i])
 			if !reflect.DeepEqual(want, got[i]) {
 				t.Fatalf("case %d image %d:\nfull committee %+v\nfused stage    %+v", c, i, want, got[i])
 			}
 			if got[i].Activated != n {
 				t.Fatalf("case %d image %d: Activated = %d; want %d", c, i, got[i].Activated, n)
 			}
-			staticRef, _ := s.classifySequential(context.Background(), xs[i], tableInfer(tables[i]))
+			staticRef := oracle(s, tables[i])
 			if staticRef.Activated < n {
 				deepened = true
 			}
@@ -475,12 +471,13 @@ func TestDegradedBatchNotCached(t *testing.T) {
 		computes.Add(int64(len(batch)))
 		return s.classifyBatchStagedWith(ctx, batch, haltPol, tableStageInfer(tables, nil))
 	}
-	runOne := func(ctx context.Context, x *tensor.T) (Decision, error) {
-		computes.Add(1)
-		return s.classifySequential(ctx, x, tableInfer(tables[int(x.Data[0])]))
-	}
+	one := tableStageInfer(tables, func(m int, _ Backend, _ bool) {
+		if m == 0 {
+			computes.Add(1)
+		}
+	})
 
-	first, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, runOne)
+	first, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +489,7 @@ func TestDegradedBatchNotCached(t *testing.T) {
 	}
 	// A second pass must recompute — nothing was stored.
 	computes.Store(0)
-	second, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, runOne)
+	second, err := s.classifyBatchCachedWith(context.Background(), xs, runBatch, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +505,7 @@ func TestDegradedBatchNotCached(t *testing.T) {
 		computes.Add(int64(len(batch)))
 		return s.classifyBatchStagedWith(ctx, batch, nil, tableStageInfer(tables, nil))
 	}
-	if _, err := s.classifyBatchCachedWith(context.Background(), xs, cleanBatch, runOne); err != nil {
+	if _, err := s.classifyBatchCachedWith(context.Background(), xs, cleanBatch, one); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Cache.Stats(); st.Entries != len(xs) {
@@ -549,7 +546,6 @@ func (p *countingPolicy) Descriptor() string { return "counting" }
 // policy-free reference on every call.
 func TestStagedPolicyConcurrentSharedSystem(t *testing.T) {
 	ref, xs := raceFixture(t)
-	ref.Workers = 1
 	want := make([]Decision, len(xs))
 	for i, x := range xs {
 		want[i] = ref.Classify(x)
@@ -587,10 +583,7 @@ func TestStagedPolicyConcurrentSharedSystem(t *testing.T) {
 				if (g+it)%2 == 0 {
 					ds := shared.ClassifyBatch(window)
 					for i, d := range ds {
-						// Policy-attached batches take the fused staged
-						// engine, so agreement is within the batched-kernel
-						// float tolerance rather than bit-exact.
-						if !decisionsEquivalent(d, want[lo+i]) {
+						if !reflect.DeepEqual(d, want[lo+i]) {
 							t.Error("passthrough-policy decision diverged under concurrency")
 							return
 						}

@@ -178,9 +178,6 @@ func (sr StagedResult) MeanActivated() float64 {
 // batch models the available parallel hardware: 1 for a single GPU
 // (sequential activation), 2 for the two-GPU DRIVE-AGX-style setup.
 func (r *Recorded) Staged(th Thresholds, order []int, batch int) StagedResult {
-	if batch < 1 {
-		batch = 1
-	}
 	if order == nil {
 		order = r.PriorityOrder()
 	}
@@ -188,54 +185,14 @@ func (r *Recorded) Staged(th Thresholds, order []int, batch int) StagedResult {
 	outcomes := make([]metrics.Outcome, r.Samples())
 	activations := make([]int, r.Samples())
 
+	rows := make([][]float64, n)
 	for s := 0; s < r.Samples(); s++ {
-		votes := make(map[int]int)
-		accepted := 0
-		active := 0
-
-		// Initial stage: the top Thr_Freq members, but never fewer than two —
-		// a single-member stage would accept its vote with no redundancy at
-		// all, and the paper's Fig. 12 activation histogram accordingly
-		// starts at two networks.
-		initial := th.Freq
-		if initial < 2 {
-			initial = 2
+		for i, m := range order {
+			rows[i] = r.Probs[m][s]
 		}
-		if initial > n {
-			initial = n
-		}
-		var rows [][]float64
-		activate := func(k int) {
-			for ; active < k && active < n; active++ {
-				row := r.Probs[order[active]][s]
-				rows = append(rows, row)
-				pred := metrics.Argmax(row)
-				if row[pred] >= th.Conf {
-					votes[pred]++
-					accepted++
-				}
-			}
-		}
-		activate(initial)
-
-		decided := func() bool {
-			_, leaderVotes, unique := modalVote(votes)
-			remaining := n - active
-			if accepted > 0 && unique && leaderVotes >= th.Freq {
-				return true // reliable now
-			}
-			// Unreliable early exit: no label can reach Thr_Freq even if
-			// every remaining member votes for it.
-			return leaderVotes+remaining < th.Freq
-		}
-
-		for !decided() && active < n {
-			activate(active + batch)
-		}
-
-		d := Decide(rows, th)
+		d := stagedDecision(rows, th, batch)
 		outcomes[s] = d.Outcome()
-		activations[s] = active
+		activations[s] = d.Activated
 	}
 
 	hist := make([]float64, n+1)
@@ -250,4 +207,51 @@ func (r *Recorded) Staged(th Thresholds, order []int, batch int) StagedResult {
 		Activations:    activations,
 		ActivationHist: hist,
 	}
+}
+
+// stagedDecision is the RADE staged loop for one sample: rows are the
+// members' softmax rows in activation order. The top Thr_Freq members (but
+// never fewer than two) are activated first; further members are activated
+// batch at a time until the decision is determined, and the decision is
+// taken over the activated rows only. It is the reference the staged batch
+// engine (classifyBatchStagedWith) reproduces exactly, image by image.
+func stagedDecision(rows [][]float64, th Thresholds, batch int) Decision {
+	if batch < 1 {
+		batch = 1
+	}
+	n := len(rows)
+	votes := make(map[int]int)
+	accepted := 0
+	active := 0
+
+	// Initial stage: the top Thr_Freq members, but never fewer than two —
+	// a single-member stage would accept its vote with no redundancy at
+	// all, and the paper's Fig. 12 activation histogram accordingly starts
+	// at two networks.
+	initial := max(th.Freq, 2)
+	activate := func(k int) {
+		for ; active < k && active < n; active++ {
+			row := rows[active]
+			pred := metrics.Argmax(row)
+			if row[pred] >= th.Conf {
+				votes[pred]++
+				accepted++
+			}
+		}
+	}
+	activate(initial)
+
+	decided := func() bool {
+		_, leaderVotes, unique := modalVote(votes)
+		if accepted > 0 && unique && leaderVotes >= th.Freq {
+			return true // reliable now
+		}
+		// Unreliable early exit: no label can reach Thr_Freq even if every
+		// remaining member votes for it.
+		return leaderVotes+(n-active) < th.Freq
+	}
+	for !decided() && active < n {
+		activate(active + batch)
+	}
+	return Decide(rows[:active], th)
 }

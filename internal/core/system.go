@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/preprocess"
@@ -56,14 +55,6 @@ func (m *Member) resolveNet(be Backend, override bool) *nn.Net32 {
 	return m.net32
 }
 
-// Infer runs the member on a raw input image.
-func (m Member) Infer(x *tensor.T) []float64 {
-	if m.net32 != nil {
-		return m.net32.InferBatch([]*tensor.T{m.Pre.Apply(x)}, nil)[0]
-	}
-	return append([]float64(nil), m.Net.Infer(m.Pre.Apply(x)).Data...)
-}
-
 // System is a runnable PolygraphMR instance: members in priority order, the
 // profiled decision thresholds, and the activation strategy.
 //
@@ -84,16 +75,9 @@ type System struct {
 	// Batch is the number of members activated together per stage (models
 	// the number of available GPUs); minimum 1.
 	Batch int
-	// Parallel enables concurrent member evaluation inside Classify: member
-	// forward passes fan out across a bounded worker pool, and with Staged
-	// set, later stages run speculatively and are cancelled once the
-	// decision is determined. Decisions are identical to the sequential
-	// path (see TestClassifyParallelMatchesSequential).
-	Parallel bool
-	// Workers caps concurrent member inferences, both inside a single
-	// Classify and per stage of the batched ClassifyBatch engine; 0 or
-	// negative selects runtime.NumCPU(). Workers == 1 forces ClassifyBatch
-	// onto the bit-exact sequential per-image path.
+	// Workers caps concurrent member inferences per stage of the engine
+	// (Classify and ClassifyBatch alike); 0 or negative selects
+	// runtime.NumCPU(). It changes wall-clock time, never a decision.
 	Workers int
 	// Cache, when non-nil, short-circuits Classify/ClassifyBatch with
 	// content-addressed cached decisions, coalesces concurrent identical
@@ -130,127 +114,26 @@ func NewSystem(members []Member, th Thresholds) (*System, error) {
 	return &System{Members: members, Th: th, Batch: 1}, nil
 }
 
-// inferFn abstracts running member i on an input. The engine is written
-// against this seam so the sequential, parallel, and arena-backed execution
-// strategies share one set of decision semantics — and so the property
-// tests can drive the engine with synthetic softmax vectors.
-type inferFn func(member int, x *tensor.T) []float64
-
-// memberInfer is the plain (heap-allocating) member execution strategy.
-// Verified members run through a throwaway arena so the kernels can carry
-// the checksum sink; the f64 arena path is bit-identical to Infer.
-func (s *System) memberInfer(i int, x *tensor.T) []float64 {
-	m := &s.Members[i]
-	st := s.verifySink(m)
-	if st == nil {
-		return m.Infer(x)
-	}
-	var row []float64
-	if m.net32 != nil {
-		a32 := tensor.NewArena32()
-		a32.SetAbft(st)
-		row = m.net32.InferBatch([]*tensor.T{m.Pre.Apply(x)}, a32)[0]
-	} else {
-		a := tensor.NewArena()
-		a.SetAbft(st)
-		row = append([]float64(nil), m.Net.InferArena(m.Pre.Apply(x), a).Data...)
-	}
-	if s.finishVerify(st) {
-		suspectRow(row)
-	}
-	return row
-}
-
 // Classify runs the system on one input image and returns the decision.
 // With Staged set, members are activated in priority order until the
-// decision is determined, and Decision.Activated reports how many ran.
-// With Parallel set, member forward passes run concurrently on a bounded
-// worker pool; the decision is identical either way.
+// decision is determined, and Decision.Activated reports how many ran. The
+// image runs through the same engine as ClassifyBatch, as a batch of one on
+// the static schedule (an attached Policy is ignored), so the decision is
+// identical to ClassifyBatch's for the same image.
 func (s *System) Classify(x *tensor.T) Decision {
 	d, _ := s.ClassifyContext(context.Background(), x)
 	return d
 }
 
 // ClassifyContext is Classify with cooperative cancellation: the engine
-// checks the context between member activations (sequential path) and
-// aborts in-flight waits (parallel path), returning ctx.Err() when the
-// context is done before a decision is reached. With a never-done context
-// it behaves exactly like Classify.
+// checks the context before every member inference and returns ctx.Err()
+// when the context is done before a decision is reached. With a never-done
+// context it behaves exactly like Classify.
 func (s *System) ClassifyContext(ctx context.Context, x *tensor.T) (Decision, error) {
 	if s.Cache != nil {
 		return s.classifyCached(ctx, x)
 	}
-	return s.classifyUncached(ctx, x)
-}
-
-// classifyUncached runs the full engine, bypassing any attached cache.
-func (s *System) classifyUncached(ctx context.Context, x *tensor.T) (Decision, error) {
-	if s.Parallel {
-		return s.classifyParallel(ctx, x, s.memberInfer)
-	}
-	return s.classifySequential(ctx, x, s.memberInfer)
-}
-
-// classifySequential runs members one after another on the calling
-// goroutine. It is the reference implementation of the engine semantics.
-// The context is polled before each member forward pass.
-func (s *System) classifySequential(ctx context.Context, x *tensor.T, infer inferFn) (Decision, error) {
-	n := len(s.Members)
-	if !s.Staged {
-		rows := make([][]float64, n)
-		for i := range rows {
-			if err := ctx.Err(); err != nil {
-				return Decision{}, err
-			}
-			rows[i] = infer(i, x)
-		}
-		return Decide(rows, s.Th), nil
-	}
-
-	batch := s.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	votes := make(map[int]int)
-	accepted := 0
-	var rows [][]float64
-	active := 0
-	activate := func(k int) error {
-		for ; active < k && active < n; active++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			row := infer(active, x)
-			rows = append(rows, row)
-			pred := metrics.Argmax(row)
-			if row[pred] >= s.Th.Conf {
-				votes[pred]++
-				accepted++
-			}
-		}
-		return nil
-	}
-	// At least two members in the initial stage (see Recorded.Staged).
-	initial := s.Th.Freq
-	if initial < 2 {
-		initial = 2
-	}
-	if err := activate(initial); err != nil {
-		return Decision{}, err
-	}
-	decided := func() bool {
-		_, leaderVotes, unique := modalVote(votes)
-		if accepted > 0 && unique && leaderVotes >= s.Th.Freq {
-			return true
-		}
-		return leaderVotes+(n-active) < s.Th.Freq
-	}
-	for !decided() && active < n {
-		if err := activate(active + batch); err != nil {
-			return Decision{}, err
-		}
-	}
-	return Decide(rows, s.Th), nil
+	return s.classifyOne(ctx, x, s.stageInfer)
 }
 
 // BuildSystem constructs a live system for a benchmark from zoo-trained

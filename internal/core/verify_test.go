@@ -15,7 +15,7 @@ import (
 // system level: verification is a pure epilogue, so on fault-free runs a
 // verified system must produce decisions IDENTICAL to an unverified one —
 // every field, Confidence included — across the full model zoo, all three
-// backends, the sequential and batched engines, B ∈ {1, 2, 7, 32}, and both
+// backends, per-image and batched calls, B ∈ {1, 2, 7, 32}, and both
 // SIMD settings. Checks must have been performed and nothing detected.
 func TestVerifiedCleanMatchesUnverified(t *testing.T) {
 	defer tensor.SetSIMD(true)

@@ -37,8 +37,8 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 }
 
 // TestKernelInjectionCoverageF64 runs a live-buffer bit-flip campaign
-// against the sequential float64 path: every verified kernel call suffers
-// one high-order mantissa/exponent flip, and the checksum epilogues must
+// against the float64 path, one image per call: every verified kernel call
+// suffers one high-order mantissa/exponent flip, and the checksum epilogues must
 // detect nearly all of them, correct every detection, and — when nothing
 // slipped through — restore the exact fault-free probabilities (the f64
 // repair chains are bit-identical to the clean kernels).
@@ -49,7 +49,7 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 	a := tensor.NewArena()
 	clean := make([][]float64, len(xs))
 	for i, x := range xs {
-		clean[i] = append([]float64(nil), net.InferArena(x, a).Data...)
+		clean[i] = append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
 		a.Reset()
 	}
 
@@ -60,7 +60,7 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 	a.SetAbft(st)
 	faulty := make([][]float64, len(xs))
 	for i, x := range xs {
-		faulty[i] = append([]float64(nil), net.InferArena(x, a).Data...)
+		faulty[i] = append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
 		a.Reset()
 	}
 	ki.Remove()
@@ -88,10 +88,9 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 
 // TestKernelInjectionCoverageBatched drives the same campaign through
 // InferBatchArena — the fused minibatch kernels (batched GEMM + Winograd),
-// which the weight-fault tests in this package never reached before. The
-// Winograd repair path re-executes the direct convolution, so corrected
-// outputs match the clean batched run within the documented 1e-9 float
-// contract rather than bit-for-bit.
+// with many images per kernel call. Every repair path, the Winograd one
+// included, re-executes the clean kernel's arithmetic, so corrected outputs
+// match the clean batched run bit for bit.
 func TestKernelInjectionCoverageBatched(t *testing.T) {
 	net := testNet(t)
 	xs := testImages(48)
@@ -136,7 +135,7 @@ func TestKernelInjectionCoverageBatched(t *testing.T) {
 	if c.Detected == inj {
 		for _, rows := range faulty {
 			for i := range xs {
-				rowsClose(t, rows[i], clean[i], 1e-9, "batched corrected run")
+				rowsClose(t, rows[i], clean[i], 0, "batched corrected run")
 			}
 		}
 	}
@@ -242,12 +241,10 @@ func TestKernelInjectionCoverageInt8(t *testing.T) {
 	}
 }
 
-// TestCampaignBatchedMatchesSequential pins the batched/sequential
-// contract under weight faults: a network corrupted by any of the fault
-// models must produce the same probabilities through InferBatchArena as
-// through per-image InferArena (within the documented 1e-9 batched-kernel
-// tolerance). The weight-fault campaigns elsewhere in this package only
-// ever exercised the sequential path.
+// TestCampaignBatchedMatchesSequential pins the batch-invariance contract
+// under weight faults: a network corrupted by any of the fault models must
+// produce the same probabilities, bit for bit, for a batch of 7 as for each
+// image run one at a time through InferBatchArena.
 func TestCampaignBatchedMatchesSequential(t *testing.T) {
 	xs := testImages(7)
 	for _, model := range []Model{BitFlip, StuckAtZero, SignFlip} {
@@ -262,12 +259,12 @@ func TestCampaignBatchedMatchesSequential(t *testing.T) {
 			a := tensor.NewArena()
 			seq := make([][]float64, len(xs))
 			for i, x := range xs {
-				seq[i] = append([]float64(nil), net.InferArena(x, a).Data...)
+				seq[i] = append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
 				a.Reset()
 			}
 			probs := net.InferBatchArena(xs, a)
 			for i, p := range probs {
-				rowsClose(t, p.Data, seq[i], 1e-9, "batched vs sequential")
+				rowsClose(t, p.Data, seq[i], 0, "batch of 7 vs batch of one")
 			}
 			a.Reset()
 		})

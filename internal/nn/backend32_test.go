@@ -58,12 +58,13 @@ func withBackendSIMD(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// f64Reference computes the per-image float64 softmax rows.
+// f64Reference computes the per-image float64 softmax rows, each image run
+// as a batch of one.
 func f64Reference(f backendFixture) [][]float64 {
 	a := tensor.NewArena()
 	out := make([][]float64, len(f.xs))
 	for i, x := range f.xs {
-		out[i] = append([]float64(nil), f.net.InferArena(x, a).Data...)
+		out[i] = append([]float64(nil), f.net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
 		a.Reset()
 	}
 	return out
@@ -116,39 +117,41 @@ func TestCompile32MatchesF64(t *testing.T) {
 	}
 }
 
-// TestNet32BatchSizeInvariant locks that every batch size runs the same
-// fused kernels: row 0 of a B=32 inference matches a B=1 inference of the
-// same image — bit-identically on the int8 backend (the integer GEMM is
-// blocking-invariant), within f32 rounding on the f32 backend (the FMA
-// tile boundaries depend on the batch geometry).
+// TestNet32BatchSizeInvariant locks that an image's compiled-backend row
+// does not depend on its batch: every image of a B=32 inference is
+// bit-identical to a B=1 inference of the same image, on both the int8
+// backend (the integer GEMM is blocking-invariant) and the f32 backend (the
+// FMA GEMM runs its column remainder through a padded panel), under both
+// SIMD settings.
 func TestNet32BatchSizeInvariant(t *testing.T) {
 	for _, f := range backendFixtures(t)[:2] { // lenet5, convnet
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			net32, err := f.net.Compile32()
-			if err != nil {
-				t.Fatal(err)
-			}
-			net8, err := f.net.CompileInt8(f.xs[:8])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, net := range []*nn.Net32{net32, net8} {
-				a := tensor.NewArena32()
-				batch := net.InferBatch(f.xs, a)
-				a.Reset()
-				single := net.InferBatch(f.xs[:1], a)
-				for j := range single[0] {
-					if net.Quantized {
-						if single[0][j] != batch[0][j] {
-							t.Fatalf("int8 class %d: B=1 %v != B=32 row 0 %v (bit-exact required)",
-								j, single[0][j], batch[0][j])
+			withBackendSIMD(t, func(t *testing.T) {
+				net32, err := f.net.Compile32()
+				if err != nil {
+					t.Fatal(err)
+				}
+				net8, err := f.net.CompileInt8(f.xs[:8])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, net := range []*nn.Net32{net32, net8} {
+					a := tensor.NewArena32()
+					batch := net.InferBatch(f.xs, a)
+					a.Reset()
+					for i, x := range f.xs {
+						single := net.InferBatch([]*tensor.T{x}, a)[0]
+						a.Reset()
+						for j := range single {
+							if single[j] != batch[i][j] {
+								t.Fatalf("quantized=%v image %d class %d: B=1 %v != B=32 %v",
+									net.Quantized, i, j, single[j], batch[i][j])
+							}
 						}
-					} else if d := math.Abs(single[0][j] - batch[0][j]); d > 1e-6 {
-						t.Fatalf("f32 class %d: |Δ| = %g between B=1 and B=32 row 0", j, d)
 					}
 				}
-			}
+			})
 		})
 	}
 }

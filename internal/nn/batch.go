@@ -7,33 +7,32 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements the minibatch-fused inference path: instead of
-// walking the network once per image, InferBatchArena walks it once per
-// *batch*, with every layer processing all B images in one kernel call.
-// Winograd-eligible convolutions (3×3/s1/p1, dims divisible by 4) take the
-// F(4×4,3×3) transform path (tensor.WinogradConv3x3); the rest lower the
-// whole batch with tensor.Im2ColBatch and run a single
-// [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] blocked GEMM (tensor.GemmInto);
+// This file implements the float64 inference path. InferBatchArena walks
+// the network once per *batch*, with every layer processing all B images
+// in one kernel call; every classification — a lone image is a batch of
+// one — runs through it. Winograd-eligible convolutions (3×3/s1/p1, dims
+// divisible by 4) take the F(4×4,3×3) transform path
+// (tensor.WinogradConv3x3); the rest lower the whole batch with
+// tensor.Im2ColBatch (or generate it implicitly, tensor.ConvGemmIm2Col)
+// and run a single [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] blocked GEMM;
 // Dense layers become one [B,In] × [In,Out] matmul; element-wise, pooling
 // and norm layers stream the batch buffer in one branchless pass. The
 // batched activation layout is image-major: one backing tensor [B, elems]
-// whose row b is image b's activation in the same [C,H,W] row-major order
-// the per-image path uses.
+// whose row b is image b's activation in [C,H,W] row-major order.
 //
-// Floating-point contract (verified by TestInferBatchArenaMatchesInferArena
-// across every zoo topology): predictions (argmax) are identical to the
-// per-image InferArena path; softmax probabilities agree within 1e-9. Two
-// batched kernels reassociate floating-point arithmetic — the Winograd
-// convolution (transform-domain sums, ~1e-13 relative agreement, locked by
-// TestWinogradConvMatchesIm2Col) and the Dense matmul (MatMulTransBInto's
-// unrolled dot + bias-after instead of bias-first) — so results are not
-// guaranteed bit-exact; the remaining kernels, including the blocked GEMM
-// and im2col lowering, reproduce the per-image arithmetic bit for bit. A
-// batch of one falls back to InferArena and is bit-exact by construction.
+// Floating-point contract: an image's softmax row is bit-identical at
+// every batch size and batch position (TestInferBatchArenaBatchOfOne): each
+// kernel computes an image's outputs with the same accumulation chain
+// whatever else shares the call. Against the training-time Network.Infer,
+// predictions (argmax) are identical and probabilities agree within 1e-9
+// (TestInferBatchArenaMatchesInfer): the Winograd convolution
+// (transform-domain sums, ~1e-13 relative agreement, locked by
+// TestWinogradConvMatchesIm2Col) and the Dense matmul (unrolled dot +
+// bias-after instead of bias-first) reassociate the arithmetic.
 //
-// Like InferArena, the path never mutates network state and is safe for
-// concurrent use on a shared *Network; the arena (and the batchState built
-// on it) is single-goroutine.
+// The path never mutates network state and is safe for concurrent use on a
+// shared *Network; the arena (and the batchState built on it) is
+// single-goroutine, so each worker owns its own.
 
 // batchForwarder is implemented by layers with a fused batch kernel. src is
 // the image-major batch backing ([bsz, prod(inShape)]); the method returns
@@ -66,18 +65,14 @@ func (st *batchState) imageViews(src *tensor.T, shape []int, bsz int) []*tensor.
 // InferBatchArena classifies a minibatch with the fused per-layer kernels
 // and returns one softmax probability tensor per input, index-aligned with
 // xs. All inputs must share one shape. The returned tensors are owned by
-// the arena: copy anything kept before a.Reset(). A nil arena or a batch of
-// one falls back to the per-image path (bit-exact with InferArena).
+// the arena: copy anything kept before a.Reset(). The arena is required.
 func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
+	if a == nil {
+		panic("nn: InferBatchArena needs an arena")
+	}
 	bsz := len(xs)
 	out := make([]*tensor.T, bsz)
 	if bsz == 0 {
-		return out
-	}
-	if a == nil || bsz == 1 {
-		for i, x := range xs {
-			out[i] = n.InferArena(x, a)
-		}
 		return out
 	}
 	for _, x := range xs[1:] {
@@ -116,18 +111,40 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	return out
 }
 
+// softmaxInto writes softmax(logits) into out (same algorithm as Softmax).
+func softmaxInto(out, logits *tensor.T) *tensor.T {
+	_, maxV := logits.MaxIndex()
+	sum := 0.0
+	for i, v := range logits.Data {
+		e := math.Exp(v - maxV)
+		out.Data[i] = e
+		sum += e
+	}
+	if sum == 0 {
+		// Degenerate logits (all -Inf); fall back to uniform.
+		u := 1.0 / float64(out.Len())
+		out.Fill(u)
+		return out
+	}
+	inv := 1.0 / sum
+	for i := range out.Data {
+		out.Data[i] *= inv
+	}
+	return out
+}
+
 // forwardBatchFallback runs a layer without a fused kernel image by image
-// through the arena path and repacks the outputs contiguously. It keeps
-// InferBatchArena correct for layer types added outside this file.
+// through its inference-mode Forward and repacks the outputs contiguously.
+// It keeps InferBatchArena correct for layer types added outside this file.
 func forwardBatchFallback(l Layer, src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	views := st.imageViews(src, inShape, bsz)
-	y0 := forwardInfer(l, views[0], st.a)
+	y0 := l.Forward(views[0], false)
 	outShape := append([]int(nil), y0.Shape...)
 	on := y0.Len()
 	dst := st.a.NewRaw(bsz, on)
 	copy(dst.Data[0:on], y0.Data)
 	for b := 1; b < bsz; b++ {
-		yb := forwardInfer(l, views[b], st.a)
+		yb := l.Forward(views[b], false)
 		copy(dst.Data[b*on:(b+1)*on], yb.Data)
 	}
 	return dst, outShape

@@ -18,7 +18,7 @@ import (
 func batchFixtures(t testing.TB) []struct {
 	name string
 	net  interface {
-		InferArena(*tensor.T, *tensor.Arena) *tensor.T
+		Infer(*tensor.T) *tensor.T
 		InferBatchArena([]*tensor.T, *tensor.Arena) []*tensor.T
 	}
 	xs []*tensor.T
@@ -27,7 +27,7 @@ func batchFixtures(t testing.TB) []struct {
 	type fixture = struct {
 		name string
 		net  interface {
-			InferArena(*tensor.T, *tensor.Arena) *tensor.T
+			Infer(*tensor.T) *tensor.T
 			InferBatchArena([]*tensor.T, *tensor.Arena) []*tensor.T
 		}
 		xs []*tensor.T
@@ -50,20 +50,18 @@ func batchFixtures(t testing.TB) []struct {
 	return fs
 }
 
-// TestInferBatchArenaMatchesInferArena is the batched/per-image equivalence
+// TestInferBatchArenaMatchesInfer is the batched/training-path equivalence
 // contract: for every zoo topology and B ∈ {1, 2, 7, 32}, the fused batch
-// path must agree with per-image InferArena on the argmax always and on
-// every softmax probability within 1e-9 (the batched Dense kernel
-// reassociates floating-point sums; every other kernel is bit-exact).
-func TestInferBatchArenaMatchesInferArena(t *testing.T) {
+// path must agree with the per-image Network.Infer on the argmax always and
+// on every softmax probability within 1e-9 (the Winograd convolution and
+// the batched Dense kernel reassociate floating-point sums).
+func TestInferBatchArenaMatchesInfer(t *testing.T) {
 	for _, f := range batchFixtures(t) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			ref := tensor.NewArena()
 			want := make([]*tensor.T, len(f.xs))
 			for i, x := range f.xs {
-				want[i] = f.net.InferArena(x, ref).Clone()
-				ref.Reset()
+				want[i] = f.net.Infer(x)
 			}
 			for _, bsz := range []int{1, 2, 7, 32} {
 				a := tensor.NewArena()
@@ -75,24 +73,47 @@ func TestInferBatchArenaMatchesInferArena(t *testing.T) {
 					wi, _ := want[i].MaxIndex()
 					gi, _ := p.MaxIndex()
 					if wi != gi {
-						t.Errorf("B=%d image %d: argmax %d != per-image %d", bsz, i, gi, wi)
+						t.Errorf("B=%d image %d: argmax %d != Infer %d", bsz, i, gi, wi)
 					}
 					for j := range p.Data {
 						if d := math.Abs(p.Data[j] - want[i].Data[j]); d > 1e-9 {
-							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > 1e-9 (batched %v, per-image %v)",
+							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > 1e-9 (batched %v, Infer %v)",
 								bsz, i, j, d, p.Data[j], want[i].Data[j])
 						}
 					}
 				}
-				// B=1 must be bit-exact: it takes the per-image path.
-				if bsz == 1 {
-					for j := range got[0].Data {
-						if got[0].Data[j] != want[0].Data[j] {
-							t.Fatalf("B=1 image 0 class %d: not bit-exact", j)
+				a.Reset()
+			}
+		})
+	}
+}
+
+// TestInferBatchArenaBatchOfOne is the batch-invariance contract the
+// decision engine relies on: for every zoo topology, an image's softmax row
+// is bit-identical whether it runs alone, in any slot of a batch of 2 or 7,
+// or in a batch of 32.
+func TestInferBatchArenaBatchOfOne(t *testing.T) {
+	for _, f := range batchFixtures(t) {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			a := tensor.NewArena()
+			ref := f.net.InferBatchArena(f.xs, a)
+			want := make([]*tensor.T, len(ref))
+			for i, p := range ref {
+				want[i] = p.Clone()
+			}
+			a.Reset()
+			for _, bsz := range []int{1, 2, 7} {
+				for lo := 0; lo+bsz <= len(f.xs); lo += bsz {
+					for k, p := range f.net.InferBatchArena(f.xs[lo:lo+bsz], a) {
+						for j := range p.Data {
+							if math.Float64bits(p.Data[j]) != math.Float64bits(want[lo+k].Data[j]) {
+								t.Fatalf("B=%d image %d class %d: %v, B=32 gives %v", bsz, lo+k, j, p.Data[j], want[lo+k].Data[j])
+							}
 						}
 					}
+					a.Reset()
 				}
-				a.Reset()
 			}
 		})
 	}
@@ -148,22 +169,17 @@ func TestInferBatchArenaEdgeCases(t *testing.T) {
 	if out := f.net.InferBatchArena(nil, tensor.NewArena()); len(out) != 0 {
 		t.Errorf("empty batch returned %d outputs", len(out))
 	}
-	// nil arena falls back to Infer per image.
-	out := f.net.InferBatchArena(f.xs[:2], nil)
-	a := tensor.NewArena()
-	want := f.net.InferBatchArena(f.xs[:2], a)
-	for i := range out {
-		for j := range out[i].Data {
-			if math.Abs(out[i].Data[j]-want[i].Data[j]) > 1e-9 {
-				t.Fatalf("nil-arena path diverged at image %d class %d", i, j)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
 			}
-		}
+		}()
+		f()
 	}
-	// Mixed shapes must panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("mixed-shape batch did not panic")
-		}
-	}()
-	f.net.InferBatchArena([]*tensor.T{f.xs[0], tensor.New(1, 2, 2)}, a)
+	mustPanic("nil arena", func() { f.net.InferBatchArena(f.xs[:2], nil) })
+	mustPanic("mixed-shape batch", func() {
+		f.net.InferBatchArena([]*tensor.T{f.xs[0], tensor.New(1, 2, 2)}, tensor.NewArena())
+	})
 }

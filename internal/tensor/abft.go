@@ -804,94 +804,6 @@ func MatMulTransBInto32Verified(c, a, b *T32) VerifyOutcome {
 	return VerifyMatMulTransB32(c, a, b)
 }
 
-// VerifyMatVec checks and repairs y = W·x + bias (W is m×k row-major, bias
-// may be nil), the hand-rolled float64 Dense inference kernel: y[o] starts
-// at bias[o] and accumulates W[o][p]·x[p] in ascending p — re-execution
-// reproduces that exact chain. The whole product is one checksum.
-func VerifyMatVec(y, w, x, bias []float64, m, k int) VerifyOutcome {
-	injectF64(y[:m])
-	o := VerifyOutcome{Checks: 1}
-	if m == 0 || k == 0 {
-		return o
-	}
-	sc := abftPool.Get().(*abftScratch)
-	defer abftPool.Put(sc)
-	var pred float64
-	wSum := growScratch(&sc.f64, k)
-	copy(wSum, w[:k])
-	for i := 1; i < m; i++ {
-		row := w[i*k : (i+1)*k]
-		for p, v := range row {
-			wSum[p] += v
-		}
-	}
-	for p, v := range x[:k] {
-		pred += wSum[p] * v
-	}
-	for _, b := range bias {
-		pred += b
-	}
-	act, actAbs := 0.0, 0.0
-	for _, v := range y[:m] {
-		act += v
-		actAbs += math.Abs(v)
-	}
-	d := pred - act
-	if d < 0 {
-		d = -d
-	}
-	if abftProxyPass(d, actAbs, k, m, abftEps64, abftEta64) {
-		return o
-	}
-	// Slow tier: rebuild the exact |W|·|x| + |bias| envelope and re-judge.
-	var bnd float64
-	wAbs := growScratch(&sc.f64b, k)
-	for p := range wAbs {
-		wAbs[p] = 0
-	}
-	for i := 0; i < m; i++ {
-		row := w[i*k : (i+1)*k]
-		for p, v := range row {
-			wAbs[p] += math.Abs(v)
-		}
-	}
-	for p, v := range x[:k] {
-		bnd += wAbs[p] * math.Abs(v)
-	}
-	for _, b := range bias {
-		bnd += math.Abs(b)
-	}
-	tol := abftColTol(bnd, k, m, abftEps64, abftEta64, abftTol)
-	if !abftMismatch(pred, act, tol, bnd, abftLim64) {
-		return o
-	}
-	o.Detected++
-	for r := 0; r < abftMaxRetries; r++ {
-		callAbftRetryHook(r)
-		for i := 0; i < m; i++ {
-			var s float64
-			if bias != nil {
-				s = bias[i]
-			}
-			row := w[i*k : (i+1)*k]
-			for p, v := range row {
-				s += v * x[p]
-			}
-			y[i] = s
-		}
-		act = 0
-		for _, v := range y[:m] {
-			act += v
-		}
-		if !abftMismatch(pred, act, tol, bnd, abftLim64) {
-			o.Corrected++
-			return o
-		}
-	}
-	o.Uncorrectable++
-	return o
-}
-
 // VerifyGemmU8 checks and repairs an already-computed uint8 product
 // (c, colsum as produced by GemmU8Into). The int32 accumulators are exact,
 // so the int64-carried checksum must match exactly — any difference is a
@@ -1008,33 +920,18 @@ func GemmU8IntoVerified(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutc
 	return VerifyGemmU8(c, colsum, a, b, m, k, n)
 }
 
-// directConvChannel re-executes one (image, output-channel) plane of a
-// 3×3/stride-1/pad-1 convolution directly from the image — the repair path
-// of the Winograd check, where no lowered column matrix exists.
-func directConvChannel[F Float](out, img, wrow []F, bias F, g ConvGeom) {
-	h, w := g.InH, g.InW
-	hw := h * w
-	for oy := 0; oy < h; oy++ {
-		for ox := 0; ox < w; ox++ {
-			acc := bias
-			for c := 0; c < g.InC; c++ {
-				for kh := 0; kh < 3; kh++ {
-					iy := oy + kh - 1
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kw := 0; kw < 3; kw++ {
-						ix := ox + kw - 1
-						if ix < 0 || ix >= w {
-							continue
-						}
-						acc += wrow[c*9+kh*3+kw] * img[c*hw+iy*w+ix]
-					}
-				}
-			}
-			out[oy*w+ox] = acc
-		}
-	}
+// winoPlane re-executes one (image, output-channel) plane of a Winograd
+// 3×3 convolution through the Winograd pipeline itself — the repair path of
+// the Winograd check. The filter and input transforms, the transform-domain
+// GEMM chains and the output transform of a plane do not depend on the
+// other planes of the call, so the repaired plane is bit-identical to a
+// clean run. Scratch is allocated per repair; repairs are rare.
+func winoPlane[F Float](out, img, wrow []F, bias F, g ConvGeom) {
+	tiles := (g.InH / 4) * (g.InW / 4)
+	u := make([]F, 36*g.InC)
+	v := make([]F, 36*g.InC*tiles)
+	mm := make([]F, 36*tiles)
+	winoConv(out, img, 1, 1, wrow, []F{bias}, g, u, v, mm)
 }
 
 // verifyWino checks (and repairs) the output of a Winograd 3×3 convolution
@@ -1138,7 +1035,7 @@ func verifyWino[F Float](dd, sd []F, bsz, outC int, wd []F, bias []F, g ConvGeom
 			ok := false
 			for r := 0; r < abftMaxRetries; r++ {
 				callAbftRetryHook(r)
-				directConvChannel(row, img, wrow, bias[oc], g)
+				winoPlane(row, img, wrow, bias[oc], g)
 				var s float64
 				for _, v := range row {
 					s += float64(v)
@@ -1160,8 +1057,8 @@ func verifyWino[F Float](dd, sd []F, bsz, outC int, wd []F, bias []F, g ConvGeom
 
 // VerifyWinogradConv checks and repairs the output of WinogradConv3x3
 // (dst image-major [bsz, OutC·H·W], bias already added). A repaired plane
-// is re-executed with the direct convolution, whose values differ from the
-// Winograd transform's within float rounding.
+// is re-executed through the Winograd pipeline, bit-identical to a clean
+// run.
 func VerifyWinogradConv(dst, src *T, bsz, outC int, weight *T, bias []float64, g ConvGeom) VerifyOutcome {
 	injectF64(dst.Data[:bsz*outC*g.InH*g.InW])
 	return verifyWino(dst.Data, src.Data, bsz, outC, weight.Data, bias, g, abftEps64, abftEta64, abftLim64)

@@ -4,7 +4,8 @@ package tensor
 // Forward passes allocate many short-lived intermediate tensors; drawing
 // them from an arena and recycling the buffers between inferences removes
 // nearly all per-call heap allocations on the hot path (see
-// nn.Network.InferArena and core.System.ClassifyBatch).
+// nn.Network.InferBatchArena, which every classification runs through, and
+// the scratch pool of core.System's staged batch engine).
 //
 // An Arena is NOT safe for concurrent use: each worker goroutine must own
 // its own instance. Tensors returned by New remain valid until the next

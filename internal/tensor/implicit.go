@@ -287,9 +287,9 @@ const implicitJW = 256
 // ImplicitConvMinN is the minimum GEMM width bsz·OutH·OutW at which the
 // float implicit-GEMM drivers beat the explicit lowering. Below it the
 // per-panel generation bookkeeping costs more than the one-shot im2col it
-// replaces — the sequential per-image decision path (bsz = 1) sits there —
-// so the layer dispatch keeps the legacy explicit path for small
-// problems. The int8 direct driver has no such floor: it never generates
+// replaces — a batch of one or a few images sits there — so the layer
+// dispatch keeps the explicit path for small problems (bit-identical
+// either way). The int8 direct driver has no such floor: it never generates
 // columns at all.
 const ImplicitConvMinN = 4096
 
@@ -320,11 +320,11 @@ func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 				fmaGemm4x16(&ad[i*k], k, &b[jj], bw, &cd[i*n+jb+jj], n, k)
 			}
 		}
-		if mb < m && nb16 > 0 {
-			gemm32ScalarRegion(cd[jb:], ad, b, mb, m, 0, nb16, k, n, bw)
+		if mb > 0 && nb16 < bw {
+			fmaColumnTail(cd[jb:], ad, b, mb, k, nb16, bw, bw, n)
 		}
-		if nb16 < bw {
-			gemm32ScalarRegion(cd[jb:], ad, b, 0, m, nb16, bw, k, n, bw)
+		if mb < m {
+			gemm32ScalarRegion(cd[jb:], ad, b, mb, m, 0, bw, k, n, bw)
 		}
 	}
 	putBlk32(blkp)

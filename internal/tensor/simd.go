@@ -36,7 +36,10 @@ func SetSIMD(on bool) bool {
 // bit-identical results to the naive i-k-j kernel: the 4×16 FMA blocks
 // accumulate in a different association (fused, 16 lanes). It is the GEMM
 // of the f32 backend's convolution path, where float32 rounding already
-// bounds accuracy (DESIGN.md §9).
+// bounds accuracy (DESIGN.md §9). Column j of C is bit-identical for every
+// N > j: rows in full 4-row groups always take the FMA chain (the column
+// remainder runs through a padded panel, see fmaColumnTail), and the last
+// m mod 4 rows always take the scalar chain.
 func GemmInto32Fast(c, a, b *T32) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
@@ -54,12 +57,37 @@ func GemmInto32Fast(c, a, b *T32) {
 			fmaGemm4x16(&ad[i*k], k, &bd[j], n, &cd[i*n+j], n, k)
 		}
 	}
+	if mb > 0 && nb < n {
+		fmaColumnTail(cd, ad, bd, mb, k, nb, n, n, n)
+	}
 	if mb < m {
-		gemm32ScalarRegion(cd, ad, bd, mb, m, 0, nb, k, n, n)
+		gemm32ScalarRegion(cd, ad, bd, mb, m, 0, n, k, n, n)
 	}
-	if nb < n {
-		gemm32ScalarRegion(cd, ad, bd, 0, m, nb, n, k, n, n)
+}
+
+// fmaColumnTail computes C[0:mb, j0:j1) — fewer than 16 columns, mb a
+// multiple of 4 — with the 4×16 FMA microkernel over a zero-padded 16-wide
+// copy of B[:, j0:j1), copying back only the valid columns. Every column
+// of rows [0, mb) thus takes the same fused accumulation chain whether or
+// not it lies in a full 16-column block, so a column's value does not
+// depend on N (the batch size of a convolution GEMM). ldb/ldc are B's and
+// C's row strides.
+func fmaColumnTail(cd, ad, bd []float32, mb, k, j0, j1, ldb, ldc int) {
+	w := j1 - j0
+	pp := getBlk32(16*k + 4*16)
+	panel, cblk := (*pp)[:16*k], (*pp)[16*k:]
+	for p := 0; p < k; p++ {
+		row := panel[p*16 : (p+1)*16]
+		copy(row, bd[p*ldb+j0:p*ldb+j1])
+		clear(row[w:])
 	}
+	for i := 0; i < mb; i += 4 {
+		fmaGemm4x16(&ad[i*k], k, &panel[0], 16, &cblk[0], 16, k)
+		for r := 0; r < 4; r++ {
+			copy(cd[(i+r)*ldc+j0:(i+r)*ldc+j1], cblk[r*16:r*16+w])
+		}
+	}
+	putBlk32(pp)
 }
 
 // gemm32ScalarRegion computes the C sub-block [i0,i1)×[j0,j1) with the

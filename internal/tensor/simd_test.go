@@ -195,3 +195,74 @@ func TestAddBiasRowBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestGemm32ColumnBatchInvariant locks the batch-invariance contract of the
+// f32 convolution GEMMs: column j of GemmInto32Fast and ConvGemmIm2Col32
+// is bit-identical for every N > j, under both SIMD settings. The N values
+// straddle multiples of the 16-column FMA block and the implicitJW-column
+// generation panel; row counts leave a scalar m mod 4 remainder. A convolution
+// GEMM's N is bsz·OutH·OutW, so this is what makes an image's f32 logits
+// independent of how many other images share its batch.
+func TestGemm32ColumnBatchInvariant(t *testing.T) {
+	withSIMD(t, func(t *testing.T, _ bool) {
+		rng := rand.New(rand.NewSource(61))
+		m, k := 10, 75
+		widths := []int{1, 4, 15, 16, 17, 31, 33, 100, 255, 256, 257, 271, 300, 529}
+		a := randT32(rng, m, k)
+		full := randT32(rng, k, widths[len(widths)-1])
+		nmax := full.Shape[1]
+		ref := New32(m, nmax)
+		GemmInto32Fast(ref, a, full)
+		for _, n := range widths {
+			b := New32(k, n)
+			for p := 0; p < k; p++ {
+				copy(b.Data[p*n:(p+1)*n], full.Data[p*nmax:p*nmax+n])
+			}
+			c := New32(m, n)
+			GemmInto32Fast(c, a, b)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					if got, want := c.Data[i*n+j], ref.Data[i*nmax+j]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("GemmInto32Fast N=%d: C[%d][%d] = %v, N=%d gives %v", n, i, j, got, nmax, want)
+					}
+				}
+			}
+		}
+
+		// lenet5's second conv (100 columns per image) and a 3×3 output
+		// (9 per image): bsz sweeps N across 16-column and 256-column
+		// boundaries; column j always belongs to the same (image, pixel).
+		geoms := []struct {
+			g    ConvGeom
+			outC int
+			bszs []int
+		}{
+			{ConvGeom{InC: 6, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 0}, 16, []int{1, 2, 3, 7}},
+			{ConvGeom{InC: 4, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}, 7, []int{1, 2, 3, 28, 29, 30, 57}},
+		}
+		for _, tc := range geoms {
+			g := tc.g
+			k := g.InC * g.KH * g.KW
+			ohw := g.OutH() * g.OutW()
+			chw := g.InC * g.InH * g.InW
+			bmax := tc.bszs[len(tc.bszs)-1]
+			weight := randT32(rng, tc.outC, k)
+			src := randT32(rng, bmax, chw)
+			nmax := bmax * ohw
+			ref := New32(tc.outC, nmax)
+			ConvGemmIm2Col32(ref, weight, src.Data, bmax, g)
+			for _, bsz := range tc.bszs {
+				n := bsz * ohw
+				c := New32(tc.outC, n)
+				ConvGemmIm2Col32(c, weight, src.Data[:bsz*chw], bsz, g)
+				for i := 0; i < tc.outC; i++ {
+					for j := 0; j < n; j++ {
+						if got, want := c.Data[i*n+j], ref.Data[i*nmax+j]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("ConvGemmIm2Col32 %+v bsz=%d: C[%d][%d] = %v, bsz=%d gives %v", g, bsz, i, j, got, bmax, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}

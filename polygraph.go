@@ -125,15 +125,9 @@ type Options struct {
 	// sizes (measured in internal/perf/BENCH_abft.json). Counters are
 	// exposed via System.AbftCounts and the serving /metrics registry.
 	Verified bool
-	// Parallel enables concurrent member evaluation inside Classify: member
-	// forward passes fan out across a bounded worker pool, with staged
-	// activation preserved through speculative stages that are cancelled
-	// once the decision is determined. Decisions are identical to the
-	// sequential path. ClassifyBatch always uses the pool regardless of
-	// this flag.
-	Parallel bool
-	// Workers caps concurrent member inferences (Classify with Parallel)
-	// and in-flight images (ClassifyBatch). 0 selects runtime.NumCPU().
+	// Workers caps concurrent member inferences per stage of the engine
+	// (Classify and ClassifyBatch alike). 0 selects runtime.NumCPU(). It
+	// changes wall-clock time, never a prediction.
 	Workers int
 	// FPBudget, when positive, selects decision thresholds that maximize
 	// answered correct predictions subject to the undetected-misprediction
@@ -364,7 +358,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 	if opts.GPUs > 0 {
 		sys.Batch = opts.GPUs
 	}
-	sys.Parallel = opts.Parallel
 	sys.Workers = opts.Workers
 	if opts.PrecisionBits != 0 && opts.PrecisionBits != 32 {
 		f := precision.FromBits(opts.PrecisionBits)
@@ -545,9 +538,8 @@ func (s *System) Classify(im Image) (Prediction, error) {
 }
 
 // ClassifyContext is Classify with a deadline/cancellation context: the
-// engine checks ctx between member activations (and aborts speculative
-// waits on the parallel path), returning ctx.Err() when the context is done
-// before the decision is reached. This is the entry point network servers
+// engine checks ctx before every member inference, returning ctx.Err()
+// when the context is done before the decision is reached. This is the entry point network servers
 // use to honor per-request deadlines.
 func (s *System) ClassifyContext(ctx context.Context, im Image) (Prediction, error) {
 	if err := s.checkImage(im); err != nil {
@@ -567,18 +559,20 @@ func (s *System) ClassifyContext(ctx context.Context, im Image) (Prediction, err
 }
 
 // ClassifyBatch classifies every image and returns index-aligned
-// predictions — the throughput mode of the system. Images fan out across a
-// bounded worker pool (Options.Workers, default NumCPU) and each worker
-// reuses inference scratch buffers, so the batch path is both parallel and
-// allocation-light. Each prediction is identical to what Classify would
-// return for the same image.
+// predictions — the throughput mode of the system. Each stage runs every
+// still-undecided image through a member network in one fused minibatch
+// pass, members of a stage fan out across a bounded worker pool
+// (Options.Workers, default NumCPU), and scratch buffers are reused across
+// calls. Each prediction is identical to what Classify would return for
+// the same image.
 func (s *System) ClassifyBatch(images []Image) ([]Prediction, error) {
 	return s.ClassifyBatchContext(context.Background(), images)
 }
 
 // ClassifyBatchContext is ClassifyBatch with a deadline/cancellation
 // context: when ctx is done before every image has been classified, the
-// worker pool winds down and ctx.Err() is returned with no predictions.
+// engine stops before the next member inference and ctx.Err() is returned
+// with no predictions.
 // A zero-length batch returns immediately — no validation pass, no worker
 // pool — with an empty, non-nil slice.
 func (s *System) ClassifyBatchContext(ctx context.Context, images []Image) ([]Prediction, error) {
