@@ -3,6 +3,7 @@ package preprocess
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -73,19 +74,21 @@ func (Rotate90) Apply(x *tensor.T) *tensor.T {
 // Noise adds zero-mean Gaussian pixel noise (clipped to [0,1]). Each Apply
 // draws fresh noise from a deterministic per-instance RNG, so repeated
 // application to the same image yields different views — a cheap diversity
-// source akin to test-time augmentation.
+// source akin to test-time augmentation. Apply is safe for concurrent use;
+// concurrent calls draw from the one stream in the order they lock it.
 type Noise struct {
 	Std  float64
 	Seed int64
 
-	rng *rand.Rand
+	mu  sync.Mutex
+	rng *rand.Rand // seeded from Seed by the first Apply
 }
 
 var _ Preprocessor = (*Noise)(nil)
 
 // NewNoise creates a noise preprocessor with the given standard deviation.
 func NewNoise(std float64, seed int64) *Noise {
-	return &Noise{Std: std, Seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Noise{Std: std, Seed: seed}
 }
 
 // Name implements Preprocessor.
@@ -94,6 +97,11 @@ func (n *Noise) Name() string { return fmt.Sprintf("Noise(%g)", n.Std) }
 // Apply implements Preprocessor.
 func (n *Noise) Apply(x *tensor.T) *tensor.T {
 	out := tensor.New(x.Shape...)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.Seed))
+	}
 	for i, v := range x.Data {
 		out.Data[i] = clamp01(v + n.Std*n.rng.NormFloat64())
 	}

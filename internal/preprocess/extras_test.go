@@ -2,6 +2,7 @@ package preprocess
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -81,6 +82,39 @@ func TestNoiseAddsBoundedNoise(t *testing.T) {
 	if same {
 		t.Error("repeated Apply produced identical noise")
 	}
+}
+
+// Members share one preprocessor value across concurrent ClassifyBatch
+// calls, so Noise.Apply must be safe from several goroutines at once (run
+// with -race). A zero-value Noise seeds itself from Seed on first use.
+func TestNoiseConcurrentApply(t *testing.T) {
+	x := tensor.New(1, 8, 8)
+	x.Fill(0.5)
+	first := (&Noise{Std: 0.1, Seed: 3}).Apply(x)
+	want := NewNoise(0.1, 3).Apply(x)
+	for i := range want.Data {
+		if first.Data[i] != want.Data[i] {
+			t.Fatalf("zero-value Noise{Seed: 3} drew %v at %d, NewNoise(0.1, 3) drew %v", first.Data[i], i, want.Data[i])
+		}
+	}
+
+	n := &Noise{Std: 0.1}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				for i, v := range n.Apply(x).Data {
+					if v < 0 || v > 1 {
+						t.Errorf("concurrent Apply: pixel %d = %v out of [0,1]", i, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCenterCropZoomsIn(t *testing.T) {

@@ -13,7 +13,8 @@ import (
 // fuzz payload — through every candidate preprocessor plus Identity, and
 // checks the package hardening contract: no panic, the input is never
 // modified, the output shape equals the input shape, and every output pixel
-// is finite in [0,1].
+// is finite in [0,1]. It also checks ImAdj, AdHist and Gamma against their
+// reference implementations (checkAgainstReference).
 func FuzzPreprocess(f *testing.F) {
 	f.Add(uint8(1), uint8(8), uint8(8), []byte("polygraph"))
 	f.Add(uint8(3), uint8(4), uint8(4), []byte{})
@@ -68,5 +69,6 @@ func FuzzPreprocess(f *testing.F) {
 				}
 			}
 		}
+		checkAgainstReference(t, x)
 	})
 }

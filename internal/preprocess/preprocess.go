@@ -11,9 +11,11 @@
 package preprocess
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -110,8 +112,16 @@ func (g Gamma) Name() string { return fmt.Sprintf("Gamma(%g)", g.G) }
 func (g Gamma) Apply(x *tensor.T) *tensor.T {
 	out := tensor.New(x.Shape...)
 	for i, v := range x.Data {
+		c := clamp01(v)
+		// Pow(c, 2) rounds its mantissa product once, exactly like c*c,
+		// wherever the square is a normal float; only subnormal squares
+		// (c < 2^-511) are rounded twice by Pow and so take the slow path.
+		if sq := c * c; g.G == 2 && sq >= 0x1p-1022 {
+			out.Data[i] = sq
+			continue
+		}
 		// The outer clamp guards the G<=0 and G=NaN corners (Pow(0,-1)=+Inf).
-		out.Data[i] = clamp01(math.Pow(clamp01(v), g.G))
+		out.Data[i] = clamp01(math.Pow(c, g.G))
 	}
 	return out
 }
@@ -209,6 +219,10 @@ func (a AdHist) Apply(x *tensor.T) *tensor.T {
 	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	out := tensor.New(c, h, w)
+	// No tile spans more than ceil(h/tiles) rows or ceil(w/tiles) columns,
+	// so one buffer holds every tile's gathered source and its equalization.
+	tileMax := ((h + tiles - 1) / tiles) * ((w + tiles - 1) / tiles)
+	buf := make([]float64, 2*tileMax)
 	for ci := 0; ci < c; ci++ {
 		plane := x.Data[ci*h*w : (ci+1)*h*w]
 		oplane := out.Data[ci*h*w : (ci+1)*h*w]
@@ -216,18 +230,14 @@ func (a AdHist) Apply(x *tensor.T) *tensor.T {
 			for tx := 0; tx < tiles; tx++ {
 				y0, y1 := ty*h/tiles, (ty+1)*h/tiles
 				x0, x1 := tx*w/tiles, (tx+1)*w/tiles
-				var src []float64
-				var flatIdx []int
+				src := buf[:0]
 				for y := y0; y < y1; y++ {
-					for xx := x0; xx < x1; xx++ {
-						src = append(src, plane[y*w+xx])
-						flatIdx = append(flatIdx, y*w+xx)
-					}
+					src = append(src, plane[y*w+x0:y*w+x1]...)
 				}
-				dst := make([]float64, len(src))
+				dst := buf[len(src) : 2*len(src)]
 				equalize(dst, src, 3)
-				for i, fi := range flatIdx {
-					oplane[fi] = dst[i]
+				for y := y0; y < y1; y++ {
+					dst = dst[copy(oplane[y*w+x0:y*w+x1], dst):]
 				}
 			}
 		}
@@ -299,17 +309,21 @@ var _ Preprocessor = ImAdj{}
 // Name implements Preprocessor.
 func (ImAdj) Name() string { return "ImAdj" }
 
-// Apply implements Preprocessor.
+// Apply implements Preprocessor. The percentiles are the values at ranks
+// n/100 and n-1-n/100 of the channel sorted by sort.Float64s (NaNs first),
+// found by selection rather than a full sort.
 func (ImAdj) Apply(x *tensor.T) *tensor.T {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	out := tensor.New(c, h, w)
+	scratch := make([]float64, h*w)
 	for ci := 0; ci < c; ci++ {
 		plane := x.Data[ci*h*w : (ci+1)*h*w]
 		oplane := out.Data[ci*h*w : (ci+1)*h*w]
-		sorted := append([]float64(nil), plane...)
-		sort.Float64s(sorted)
-		lo := sorted[len(sorted)/100]
-		hi := sorted[len(sorted)-1-len(sorted)/100]
+		copy(scratch, plane)
+		k := len(scratch) / 100
+		lo := selectRank(scratch, k)
+		// selectRank left every value ranked above k in scratch[k+1:].
+		hi := selectRank(scratch[k:], len(scratch)-1-2*k)
 		span := hi - lo
 		if span < 1e-9 {
 			for i, v := range plane {
@@ -322,6 +336,67 @@ func (ImAdj) Apply(x *tensor.T) *tensor.T {
 		}
 	}
 	return out
+}
+
+// selectRank permutes s so that s[k] holds the value sort.Float64s would
+// put there — the same cmp.Less order, NaNs first — with nothing ordered
+// after it in s[:k] and nothing ordered before it in s[k+1:], and returns
+// s[k]. It is a quickselect with a three-way partition, so tie-heavy planes
+// shrink fast; past a depth limit it sorts the remaining window, which
+// bounds adversarial inputs at O(n log n).
+func selectRank(s []float64, k int) float64 {
+	lo, hi := 0, len(s)
+	for depth := 2 * bits.Len(uint(len(s))); ; depth-- {
+		if hi-lo <= 12 || depth == 0 {
+			slices.Sort(s[lo:hi])
+			return s[k]
+		}
+		p := pivot(s[lo:hi], k-lo)
+		// Dijkstra partition of s[lo:hi]: [lo,lt) < p, [lt,i) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case cmp.Less(v, p):
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case cmp.Less(p, v):
+				gt--
+				s[gt], s[i] = v, s[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return s[k]
+		}
+	}
+}
+
+// pivot picks a partitioning value for selecting rank k of s: the value at
+// k's quantile of an evenly spaced sorted sample, moved two sample ranks
+// toward the middle. For the 1% and 99% ranks ImAdj asks for, one partition
+// then leaves a window about a tenth the size that still holds k, and its
+// comparisons mostly go the same way, which the branch predictor rewards.
+func pivot(s []float64, k int) float64 {
+	var sample [31]float64
+	n := len(s)
+	for i := range sample {
+		sample[i] = s[(2*i+1)*n/(2*len(sample))]
+	}
+	slices.Sort(sample[:])
+	r := k * len(sample) / n
+	if k < n/2 {
+		r = min(r+2, len(sample)-1)
+	} else {
+		r = max(r-2, 0)
+	}
+	return sample[r]
 }
 
 // Scale downsamples the image by factor P (e.g. 0.8) with bilinear sampling

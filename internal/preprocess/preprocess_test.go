@@ -296,3 +296,19 @@ func TestCandidatesDistinctNames(t *testing.T) {
 		t.Errorf("only %d candidates; want the Table I pool", len(seen))
 	}
 }
+
+var benchSink *tensor.T
+
+// BenchmarkPreprocess times every candidate preprocessor plus Identity on
+// one 3×32×32 image, the convnet input size.
+func BenchmarkPreprocess(b *testing.B) {
+	x := randImage(9, 3, 32, 32)
+	for _, p := range all() {
+		b.Run(p.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = p.Apply(x)
+			}
+		})
+	}
+}

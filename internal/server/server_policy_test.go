@@ -104,12 +104,12 @@ func TestPolicyShapesBatches(t *testing.T) {
 	// and every dispatched item must land in the queue-wait histogram.
 	exp := scrape(t, ts.URL)
 	for series, want := range map[string]int{
-		"pgmr_policy_tier":          3,
-		"pgmr_policy_max_batch":     2,
-		"pgmr_policy_budget_misses": 7,
-		"pgmr_policy_escalations":   11,
-		`pgmr_policy_backend{backend="int8",role="early"}`: 1,
-		`pgmr_policy_backend{backend="f32",role="late"}`:   1,
+		"pgmr_policy_tier":                                    3,
+		"pgmr_policy_max_batch":                               2,
+		"pgmr_policy_budget_misses":                           7,
+		"pgmr_policy_escalations":                             11,
+		`pgmr_policy_backend{backend="int8",role="early"}`:    1,
+		`pgmr_policy_backend{backend="f32",role="late"}`:      1,
 		`pgmr_policy_stage_cost_ns{backend="int8",stage="0"}`: 1500,
 		"pgmr_queue_wait_seconds_count":                       n,
 	} {
